@@ -23,6 +23,7 @@ func TestEconomyShape(t *testing.T) {
 	if err := res.Gate(); err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "economy.json", res)
 	if res.Fixed.RoundsSkipped == 0 {
 		t.Fatal("fixed-interval mode never overran a round; the workload is not oversubscribing the uplink budget")
 	}
