@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	nymbench [-seed N] [-run all|fig3|fig4|fig5|fig6|fig7|table1|validation|ablations|vault|fleet|shards|elastic|sweeps|partition|censorship|economy|summary]
+//	nymbench [-seed N] [-run all|fig3|fig4|fig5|fig6|fig7|table1|validation|ablations|vault|fleet|shards|elastic|sweeps|partition|censorship|mixnet|economy|summary]
 //	         [-nyms N] [-hosts N]   # shards sizing (default 1024 over 4); elastic sizing (default 96 over 2)
 //	         [-rounds N]            # sweeps: steady-state rounds (default 8); -nyms sizes the sweep fleet (default 32)
 //	                                # economy: churn rounds (default 16); -nyms/-hosts size the pool (default 1024 over 4)

@@ -41,7 +41,7 @@ import (
 func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	anonymizer := flag.String("anonymizer", "tor", "anonymizer for the demo nym: tor, dissent, incognito, sweet, tor-bridge, mixnet")
-	nyms := flag.Int("nyms", 24, "fleet size for the fleet command")
+	nyms := flag.Int("nyms", 24, "fleet size for the fleet, cluster, elastic, sweeps and status commands")
 	flag.Parse()
 
 	switch flag.Arg(0) {
@@ -594,8 +594,8 @@ func sweepsDemo(seed uint64, n int) error {
 		o.AwaitSweepsIdle(p)
 		rep := o.SweepReport()
 		say("scheduler stopped after %d sweeps: %d saves, %d clean skips (ratio %.2f), %.2f MB total wire, sweep p50 %.1fs / p95 %.1fs",
-			rep.Sweeps, rep.Saves, rep.Skips, rep.DirtySkipRatio(),
-			float64(rep.WireBytes())/(1<<20), rep.LatencyP50.Seconds(), rep.LatencyP95.Seconds())
+			rep.Sweeps, rep.Saves, rep.Skipped, rep.DirtySkipRatio(),
+			float64(rep.WireBytes())/(1<<20), rep.Latency.P50.Seconds(), rep.Latency.P95.Seconds())
 		say("a save-everything sweep at the same cadence would have checkpointed %d nyms every %s; dirty tracking shipped deltas only",
 			n, interval)
 		if err := o.StopAll(p); err != nil {
@@ -649,7 +649,7 @@ func statusDemo(seed uint64, n int) error {
 			demoErr = err
 			return
 		}
-		if err := c.StartSweeps(cluster.SweepConfig{Interval: 20 * time.Second, SaveAll: true}); err != nil {
+		if err := c.StartSweeps(cluster.SweepConfig{Interval: 20 * time.Second, Cadence: fleet.Cadence{Mode: fleet.CadenceAll}}); err != nil {
 			demoErr = err
 			return
 		}

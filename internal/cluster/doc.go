@@ -47,10 +47,12 @@
 //     stagger slot (Interval/N apart) and a token gate bounds how
 //     many hosts may be on the shared providers at once, so N
 //     per-host schedulers never herd the providers simultaneously.
-//     Hosts out of Active duty are paused — the drain path
+//     Every host pass runs the config's fleet.Cadence unchanged;
+//     under the adaptive cadence, idle slots also prune dead vault
+//     chunks. Hosts out of Active duty are paused — the drain path
 //     checkpoints their nyms itself — and a per-slot log plus
-//     ClusterSweepReport surface wire bytes, dirty-skip ratio, and
-//     sweep latency percentiles pool-wide.
+//     ClusterSweepReport (the summed fleet.SweepTally, latency and
+//     staleness Spreads) surface the sweep economy pool-wide.
 //
 // Every daemon is armed state-driven, the same idiom as the fleet's
 // KSM pacing: timers exist only while a pass could help, so a

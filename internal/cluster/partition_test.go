@@ -147,7 +147,7 @@ func TestSweepRoundSurvivesPeerPartition(t *testing.T) {
 			return
 		}
 		net.SeverRegions("east", "west")
-		if err := c.StartSweeps(SweepConfig{Interval: 15 * time.Second, Tokens: 1, SaveAll: true}); err != nil {
+		if err := c.StartSweeps(SweepConfig{Interval: 15 * time.Second, Tokens: 1, Cadence: fleet.Cadence{Mode: fleet.CadenceAll}}); err != nil {
 			t.Errorf("start sweeps: %v", err)
 			return
 		}

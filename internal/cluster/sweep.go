@@ -40,32 +40,14 @@ type SweepConfig struct {
 	// token gate is the hard cap that holds even when a sweep
 	// overruns its slot.
 	Tokens int
-	// Stagger and Concurrency tune each host's pass (fleet defaults).
-	Stagger     time.Duration
-	Concurrency int
-	// SaveAll disables dirty-skip on every host (the naive mode).
-	SaveAll bool
-	// Adaptive turns on each host pass's churn-adaptive cadence: a
-	// member is saved when its dirty delta crosses TargetDeltaBytes
-	// or its RPO deadline nears, and deferred otherwise (see
-	// fleet.SweepConfig). The coordinator passes each host an honest
-	// next-pass horizon of two Intervals — its slot cadence plus one
-	// skipped round.
-	Adaptive bool
-	// RPO is the per-member staleness ceiling the adaptive cadence
-	// enforces (fleet default when zero).
-	RPO time.Duration
-	// RPOFor overrides RPO per member (fleet semantics).
-	RPOFor func(*fleet.Member) time.Duration
-	// TargetDeltaBytes is the dirty delta worth a save (fleet default
-	// when zero).
-	TargetDeltaBytes int64
-	// GC prunes dead vault chunks opportunistically during idle slots
-	// — the provider token is held and the host had nothing dirty, so
-	// the reclaim wire rides a window the cadence already paid for.
-	GC bool
-	// GCPerSlot bounds members GC'd per idle slot (default 2).
-	GCPerSlot int
+	// Cadence is every host pass's checkpoint policy, forwarded to
+	// fleet.SweepOnce as-is (default: dirty). Under the adaptive
+	// cadence the coordinator passes each host an honest next-pass
+	// horizon of two Intervals — its slot cadence plus one skipped
+	// round — and spends idle slots pruning dead vault chunks: the
+	// provider token is held and the host had nothing dirty, so the
+	// reclaim wire rides a window the cadence already paid for.
+	Cadence fleet.Cadence
 	// Password seals checkpoints (default: the cluster's
 	// VaultPassword). DestFor maps nym names to vault destinations
 	// (default: the cluster's DestFor).
@@ -79,9 +61,6 @@ func (sc *SweepConfig) fillDefaults(c *Config) {
 	}
 	if sc.Tokens <= 0 {
 		sc.Tokens = 1
-	}
-	if sc.GCPerSlot <= 0 {
-		sc.GCPerSlot = 2
 	}
 	if sc.Password == "" {
 		sc.Password = c.VaultPassword
@@ -127,37 +106,18 @@ type ClusterSweepReport struct {
 	RoundsSkipped int
 	HostSweeps    int // completed per-host passes
 	Paused        int // slots skipped on non-Active hosts
-	Eligible      int
-	Saves         int
-	Skips         int
-	// Busy counts members a pass left to another save already in
-	// flight (a migration checkpoint, an eviction): counted eligible
-	// but neither saved nor skipped-clean, so Saves+Skips+Busy+Errors
-	// accounts for Eligible pool-wide. Deferred counts members the
-	// adaptive cadence postponed (dirty, but under the delta target
-	// with RPO headroom) — with Adaptive on, Deferred joins that
-	// accounting identity.
-	Busy     int
-	Deferred int
-	Errors   int
-	// UploadedBytes/LoginBytes/BaselineBytes sum over host passes.
-	UploadedBytes int64
-	LoginBytes    int64
-	BaselineBytes int64
-	// NewChunks/TotalChunks sum each saved checkpoint's uploaded and
-	// full manifest chunk counts pool-wide — the dedup ratio.
-	NewChunks   int
-	TotalChunks int
-	// LatencyP50/P95 are nearest-rank percentiles over per-host pass
-	// latencies.
-	LatencyP50 time.Duration
-	LatencyP95 time.Duration
-	// StalenessP50/P95/Max are percentiles over per-save checkpoint
-	// staleness, pooled across every host's samples so each save
-	// weighs equally (not an average of per-host quantiles).
-	StalenessP50 time.Duration
-	StalenessP95 time.Duration
-	StalenessMax time.Duration
+	// SweepTally sums the host passes the coordinator ran.
+	fleet.SweepTally
+	// CoordinatorErrors counts the failures the coordinator itself
+	// logged outside host passes: batched rebalance moves and idle-slot
+	// GC. Failed saves are in Errors.
+	CoordinatorErrors int
+	// Latency summarizes per-host pass latencies.
+	Latency fleet.Spread
+	// Staleness summarizes per-save checkpoint staleness, pooled across
+	// every host's samples so each save weighs equally (not an average
+	// of per-host quantiles).
+	Staleness fleet.Spread
 	// Idle-slot economy: slots with nothing dirty, the batched
 	// rebalance moves and opportunistic GC they absorbed, and what
 	// the GC paid (wire) and recovered (provider bytes).
@@ -169,18 +129,6 @@ type ClusterSweepReport struct {
 	GCReclaimedBytes int64
 	GCWireBytes      int64
 	Slots            []SweepSlot
-}
-
-// WireBytes is the total checkpoint wire across the pool.
-func (r ClusterSweepReport) WireBytes() int64 { return r.UploadedBytes + r.LoginBytes }
-
-// DirtySkipRatio is the pool-wide fraction of eligible member-passes
-// skipped as clean.
-func (r ClusterSweepReport) DirtySkipRatio() float64 {
-	if r.Eligible == 0 {
-		return 0
-	}
-	return float64(r.Skips) / float64(r.Eligible)
 }
 
 // StartSweeps installs the coordinator: the first round begins one
@@ -234,6 +182,9 @@ func (c *Cluster) SweepReport() ClusterSweepReport {
 		Slots:         c.SweepSlots(),
 	}
 	rep.MovesPlanned = c.movesPlanned
+	// Each slot whose pass failed logged exactly one wrapped error; the
+	// rest of the log is the coordinator's own.
+	rep.CoordinatorErrors = len(c.sweepErrs)
 	var lats []time.Duration
 	for _, s := range c.slotLog {
 		if s.Paused {
@@ -241,17 +192,10 @@ func (c *Cluster) SweepReport() ClusterSweepReport {
 			continue
 		}
 		rep.HostSweeps++
-		rep.Eligible += s.Record.Eligible
-		rep.Saves += s.Record.Saves
-		rep.Skips += s.Record.Skipped
-		rep.Busy += s.Record.Busy
-		rep.Deferred += s.Record.Deferred
-		rep.Errors += s.Record.Errors
-		rep.UploadedBytes += s.Record.UploadedBytes
-		rep.LoginBytes += s.Record.LoginBytes
-		rep.BaselineBytes += s.Record.BaselineBytes
-		rep.NewChunks += s.Record.NewChunks
-		rep.TotalChunks += s.Record.TotalChunks
+		rep.Add(s.Record.SweepTally)
+		if s.Record.Errors > 0 {
+			rep.CoordinatorErrors--
+		}
 		if s.Idle {
 			rep.IdleSlots++
 		}
@@ -262,8 +206,7 @@ func (c *Cluster) SweepReport() ClusterSweepReport {
 		rep.GCWireBytes += s.GCWireBytes
 		lats = append(lats, s.Record.Elapsed)
 	}
-	rep.LatencyP50 = fleet.LatencyPercentile(lats, 0.50)
-	rep.LatencyP95 = fleet.LatencyPercentile(lats, 0.95)
+	rep.Latency = fleet.SpreadOf(lats)
 	var stale []time.Duration
 	for _, h := range c.hosts {
 		stale = append(stale, h.orch.CheckpointStaleness()...)
@@ -271,13 +214,7 @@ func (c *Cluster) SweepReport() ClusterSweepReport {
 	for _, h := range c.retired {
 		stale = append(stale, h.orch.CheckpointStaleness()...)
 	}
-	rep.StalenessP50 = fleet.LatencyPercentile(stale, 0.50)
-	rep.StalenessP95 = fleet.LatencyPercentile(stale, 0.95)
-	for _, s := range stale {
-		if s > rep.StalenessMax {
-			rep.StalenessMax = s
-		}
-	}
+	rep.Staleness = fleet.SpreadOf(stale)
 	return rep
 }
 
@@ -348,20 +285,14 @@ func (c *Cluster) sweepSlot(p *sim.Proc, cfg *SweepConfig, round, slot int, h *H
 	start := p.Now()
 	destFor := cfg.DestFor
 	rec, err := h.orch.SweepOnce(p, fleet.SweepConfig{
-		Password:    cfg.Password,
-		DestFor:     func(m *fleet.Member) core.VaultDest { return destFor(m.Name()) },
-		Stagger:     cfg.Stagger,
-		Concurrency: cfg.Concurrency,
-		SaveAll:     cfg.SaveAll,
-		Adaptive:    cfg.Adaptive,
-		RPO:         cfg.RPO,
-		RPOFor:      cfg.RPOFor,
+		Password: cfg.Password,
+		DestFor:  func(m *fleet.Member) core.VaultDest { return destFor(m.Name()) },
+		Cadence:  cfg.Cadence,
 		// The cadence's deferral horizon: this host's next slot is one
 		// round out, two if the coordinator skips a round — plus one
 		// Interval of pass-duration allowance.
-		Interval:         cfg.Interval,
-		NextPassIn:       2 * cfg.Interval,
-		TargetDeltaBytes: cfg.TargetDeltaBytes,
+		Interval:   cfg.Interval,
+		NextPassIn: 2 * cfg.Interval,
 	})
 	if err != nil {
 		// The per-save failures are already in the host orchestrator's
@@ -381,7 +312,7 @@ func (c *Cluster) sweepSlot(p *sim.Proc, cfg *SweepConfig, round, slot int, h *H
 	if err == nil && rec.Saves == 0 && rec.Errors == 0 {
 		rec2.Idle = true
 		rec2.Moves, rec2.MovesDropped = c.drainPendingMoves(p)
-		if cfg.GC {
+		if cfg.Cadence.Mode == fleet.CadenceAdaptive {
 			rec2.GCRuns, rec2.GCReclaimedBytes, rec2.GCWireBytes = c.opportunisticGC(p, cfg, h)
 		}
 	}
@@ -432,7 +363,10 @@ func (c *Cluster) drainPendingMoves(p *sim.Proc) (executed, dropped int) {
 	return executed, dropped
 }
 
-// opportunisticGC prunes dead vault chunks for up to GCPerSlot of the
+// gcPerSlot bounds the members opportunisticGC prunes per idle slot.
+const gcPerSlot = 2
+
+// opportunisticGC prunes dead vault chunks for up to gcPerSlot of the
 // host's members, rotating a per-host cursor so every member gets its
 // turn across idle slots. Members without a checkpoint are skipped
 // (nothing in the vault to prune — probing would buy an ErrNoManifest
@@ -444,7 +378,7 @@ func (c *Cluster) opportunisticGC(p *sim.Proc, cfg *SweepConfig, h *Host) (runs 
 		return 0, 0, 0
 	}
 	start := c.gcCursor[h.name]
-	for scanned := 0; scanned < len(members) && runs < cfg.GCPerSlot; scanned++ {
+	for scanned := 0; scanned < len(members) && runs < gcPerSlot; scanned++ {
 		m := members[(start+scanned)%len(members)]
 		c.gcCursor[h.name] = (start + scanned + 1) % len(members)
 		if m.Nym() == nil || m.Saving() || c.migrating[m.Name()] {

@@ -25,7 +25,7 @@ func clusterChurn(t *testing.T, m *fleet.Member, path string, round, n int) {
 
 // TestOpportunisticGCReclaimsInIdleSlots: once a member's blob has
 // been rewritten across two checkpoints, the superseded chunks sit
-// dead at the provider. A coordinator with GC enabled must reclaim
+// dead at the provider. An adaptive-cadence coordinator must reclaim
 // them from idle slots — provider token held, nothing dirty to save —
 // and bill the probe wire it spent doing so.
 func TestOpportunisticGCReclaimsInIdleSlots(t *testing.T) {
@@ -49,7 +49,7 @@ func TestOpportunisticGCReclaimsInIdleSlots(t *testing.T) {
 				}
 			}
 		}
-		if err := c.StartSweeps(SweepConfig{Interval: 20 * time.Second, GC: true, GCPerSlot: 1}); err != nil {
+		if err := c.StartSweeps(SweepConfig{Interval: 20 * time.Second, Cadence: fleet.Cadence{Mode: fleet.CadenceAdaptive}}); err != nil {
 			t.Fatalf("start sweeps: %v", err)
 		}
 		p.Sleep(2 * time.Minute)
@@ -100,10 +100,8 @@ func TestClusterAdaptiveSweepDefersUnderRPO(t *testing.T) {
 			}
 		}
 		if err := c.StartSweeps(SweepConfig{
-			Interval:         interval,
-			Adaptive:         true,
-			RPO:              rpo,
-			TargetDeltaBytes: 64 << 10,
+			Interval: interval,
+			Cadence:  fleet.Cadence{Mode: fleet.CadenceAdaptive, RPO: rpo, TargetDeltaBytes: 64 << 10},
 		}); err != nil {
 			t.Fatalf("start sweeps: %v", err)
 		}
@@ -123,16 +121,16 @@ func TestClusterAdaptiveSweepDefersUnderRPO(t *testing.T) {
 		if rep.Saves == 0 {
 			t.Fatal("trickle member was never saved; RPO deadline never fired")
 		}
-		if rep.StalenessMax <= interval {
-			t.Fatalf("staleness max %v <= interval; deferral never stretched a save", rep.StalenessMax)
+		if rep.Staleness.Max <= interval {
+			t.Fatalf("staleness max %v <= interval; deferral never stretched a save", rep.Staleness.Max)
 		}
 		// The coordinator hands each host a two-Interval horizon, so a
 		// deadline-forced save must land within RPO plus one slot.
-		if limit := rpo + interval; rep.StalenessMax > limit {
-			t.Fatalf("staleness max %v blew the RPO ceiling %v", rep.StalenessMax, limit)
+		if limit := rpo + interval; rep.Staleness.Max > limit {
+			t.Fatalf("staleness max %v blew the RPO ceiling %v", rep.Staleness.Max, limit)
 		}
-		if rep.StalenessP95 < rep.StalenessP50 || rep.StalenessP50 <= 0 {
-			t.Fatalf("staleness percentiles p50=%v p95=%v malformed", rep.StalenessP50, rep.StalenessP95)
+		if rep.Staleness.P95 < rep.Staleness.P50 || rep.Staleness.P50 <= 0 {
+			t.Fatalf("staleness percentiles p50=%v p95=%v malformed", rep.Staleness.P50, rep.Staleness.P95)
 		}
 		if rep.TotalChunks < rep.NewChunks || rep.TotalChunks == 0 {
 			t.Fatalf("chunk accounting new=%d total=%d malformed", rep.NewChunks, rep.TotalChunks)

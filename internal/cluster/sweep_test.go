@@ -28,11 +28,11 @@ func TestClusterSweepSlotsNeverOverlap(t *testing.T) {
 			t.Errorf("await: %v", err)
 			return
 		}
-		// SaveAll with a deliberately tight interval: per-host sweeps
+		// CadenceAll with a deliberately tight interval: per-host sweeps
 		// take seconds, stagger slots only ~4s apart — without the
 		// token, windows would collide.
 		if err := c.StartSweeps(SweepConfig{
-			Interval: 12 * time.Second, Tokens: 1, SaveAll: true,
+			Interval: 12 * time.Second, Tokens: 1, Cadence: fleet.Cadence{Mode: fleet.CadenceAll},
 		}); err != nil {
 			t.Errorf("start sweeps: %v", err)
 			return
@@ -55,7 +55,7 @@ func TestClusterSweepSlotsNeverOverlap(t *testing.T) {
 		for _, s := range active {
 			hosts[s.Host] = true
 			if s.End <= s.Start {
-				t.Errorf("round %d %s: empty sweep window [%v,%v] under SaveAll", s.Round, s.Host, s.Start, s.End)
+				t.Errorf("round %d %s: empty sweep window [%v,%v] under CadenceAll", s.Round, s.Host, s.Start, s.End)
 			}
 		}
 		if len(hosts) != 3 {
@@ -99,7 +99,7 @@ func TestClusterSweepPausesCordonedHost(t *testing.T) {
 			return
 		}
 		if err := c.StartSweeps(SweepConfig{
-			Interval: 10 * time.Second, SaveAll: true,
+			Interval: 10 * time.Second, Cadence: fleet.Cadence{Mode: fleet.CadenceAll},
 		}); err != nil {
 			t.Errorf("start sweeps: %v", err)
 			return
@@ -150,7 +150,7 @@ func TestClusterSweepSlotRecordsSaveFailures(t *testing.T) {
 		// Point every save at a provider that doesn't exist: each
 		// host's pass fails wholesale.
 		if err := c.StartSweeps(SweepConfig{
-			Interval: 10 * time.Second, SaveAll: true,
+			Interval: 10 * time.Second, Cadence: fleet.Cadence{Mode: fleet.CadenceAll},
 			DestFor: func(name string) core.VaultDest {
 				return core.VaultDest{Providers: []string{"nowhere"}, Account: name, AccountPassword: "p"}
 			},

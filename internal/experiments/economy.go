@@ -246,17 +246,18 @@ func economySweepConfig(mode string, nyms int) cluster.SweepConfig {
 	cfg := cluster.SweepConfig{Interval: EconomyInterval}
 	switch mode {
 	case "fixed":
-		cfg.SaveAll = true
+		cfg.Cadence.Mode = fleet.CadenceAll
 	case "adaptive":
-		cfg.Adaptive = true
-		cfg.RPO = EconomyRPO
-		cfg.TargetDeltaBytes = EconomyTargetDelta
-		cfg.GC = true
-		cfg.RPOFor = func(m *fleet.Member) time.Duration {
-			if econClass(econIndex(m.Name()), nyms) == "hot" {
-				return EconomyHotRPO
-			}
-			return EconomyRPO
+		cfg.Cadence = fleet.Cadence{
+			Mode:             fleet.CadenceAdaptive,
+			RPO:              EconomyRPO,
+			TargetDeltaBytes: EconomyTargetDelta,
+			RPOFor: func(m *fleet.Member) time.Duration {
+				if econClass(econIndex(m.Name()), nyms) == "hot" {
+					return EconomyHotRPO
+				}
+				return EconomyRPO
+			},
 		}
 	}
 	return cfg
@@ -362,13 +363,8 @@ func economyRun(seed uint64, nyms, hosts, rounds int, mode string, out *EconomyM
 		for _, h := range c.Hosts() {
 			stale = append(stale, h.Fleet().CheckpointStaleness()[coldSamples[h.Name()]:]...)
 		}
-		out.StaleP50 = fleet.LatencyPercentile(stale, 0.50)
-		out.StaleP95 = fleet.LatencyPercentile(stale, 0.95)
-		for _, d := range stale {
-			if d > out.StaleMax {
-				out.StaleMax = d
-			}
-		}
+		sp := fleet.SpreadOf(stale)
+		out.StaleP50, out.StaleP95, out.StaleMax = sp.P50, sp.P95, sp.Max
 		return nil
 	})
 	if err != nil {
@@ -378,7 +374,7 @@ func economyRun(seed uint64, nyms, hosts, rounds int, mode string, out *EconomyM
 	out.Rounds = rep.Rounds
 	out.RoundsSkipped = rep.RoundsSkipped
 	out.Saves = rep.Saves
-	out.Skips = rep.Skips
+	out.Skips = rep.Skipped
 	out.Deferred = rep.Deferred
 	out.Errors = rep.Errors
 	out.UploadMB = float64(rep.UploadedBytes) / float64(guestos.MiB)

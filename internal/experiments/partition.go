@@ -168,10 +168,10 @@ func Partition(seed uint64) (*PartitionResult, error) {
 		res.RampSeconds = (p.Now() - t0).Seconds()
 
 		// Sweeps give every persistent nym a vault checkpoint — the
-		// state the fallback migration later leans on. SaveAll keeps
+		// state the fallback migration later leans on. CadenceAll keeps
 		// every round on the providers (dirty-skip would otherwise let
 		// the severed-window rounds pass without touching the wire).
-		if err := c.StartSweeps(cluster.SweepConfig{Interval: 20 * time.Second, Tokens: 2, SaveAll: true}); err != nil {
+		if err := c.StartSweeps(cluster.SweepConfig{Interval: 20 * time.Second, Tokens: 2, Cadence: fleet.Cadence{Mode: fleet.CadenceAll}}); err != nil {
 			return err
 		}
 

@@ -87,11 +87,11 @@ func SweepSteadyState(seed uint64, nyms, rounds int) (SweepSteady, error) {
 	if rounds <= 0 {
 		rounds = 8
 	}
-	sched, coldMB, err := sweepRun(seed, nyms, rounds, false)
+	sched, coldMB, err := sweepRun(seed, nyms, rounds, fleet.CadenceDirty)
 	if err != nil {
 		return SweepSteady{}, fmt.Errorf("scheduled run: %w", err)
 	}
-	naive, _, err := sweepRun(seed, nyms, rounds, true)
+	naive, _, err := sweepRun(seed, nyms, rounds, fleet.CadenceAll)
 	if err != nil {
 		return SweepSteady{}, fmt.Errorf("naive run: %w", err)
 	}
@@ -111,8 +111,8 @@ func SweepSteadyState(seed uint64, nyms, rounds int) (SweepSteady, error) {
 
 // sweepRun executes one mode of the workload: ramp, cold save, then
 // `rounds` sweep intervals with occasional browsing while the sweep
-// scheduler runs.
-func sweepRun(seed uint64, n, rounds int, saveAll bool) (SweepMode, float64, error) {
+// scheduler runs under the given cadence.
+func sweepRun(seed uint64, n, rounds int, cadence fleet.CadenceMode) (SweepMode, float64, error) {
 	eng := sim.NewEngine(seed)
 	_, world := webworld.BuildDefault(eng)
 	mgr, err := core.NewManager(eng, world, FleetHostConfig())
@@ -121,7 +121,7 @@ func sweepRun(seed uint64, n, rounds int, saveAll bool) (SweepMode, float64, err
 	}
 	o := fleet.New(mgr, fleet.Config{Restart: fleet.DefaultRestartPolicy()})
 	mode := SweepMode{Mode: "scheduled"}
-	if saveAll {
+	if cadence == fleet.CadenceAll {
 		mode.Mode = "naive"
 	}
 	var coldMB float64
@@ -142,7 +142,7 @@ func sweepRun(seed uint64, n, rounds int, saveAll bool) (SweepMode, float64, err
 			Interval: SweepInterval,
 			Password: "fleet-pw",
 			DestFor:  FleetVaultDest,
-			SaveAll:  saveAll,
+			Cadence:  fleet.Cadence{Mode: cadence},
 		}); err != nil {
 			return err
 		}
@@ -172,14 +172,14 @@ func sweepRun(seed uint64, n, rounds int, saveAll bool) (SweepMode, float64, err
 	mode.Sweeps = rep.Sweeps
 	mode.Backoffs = rep.Backoffs
 	mode.Saves = rep.Saves
-	mode.Skips = rep.Skips
+	mode.Skips = rep.Skipped
 	mode.Errors = rep.Errors
 	mode.UploadMB = float64(rep.UploadedBytes) / float64(guestos.MiB)
 	mode.LoginMB = float64(rep.LoginBytes) / float64(guestos.MiB)
 	mode.WireMB = float64(rep.WireBytes()) / float64(guestos.MiB)
 	mode.DirtySkipRatio = rep.DirtySkipRatio()
-	mode.LatencyP50 = rep.LatencyP50
-	mode.LatencyP95 = rep.LatencyP95
+	mode.LatencyP50 = rep.Latency.P50
+	mode.LatencyP95 = rep.Latency.P95
 	return mode, coldMB, nil
 }
 

@@ -45,11 +45,16 @@
 // thundering-herd the anonymizer or the providers. StartSweeps
 // installs the periodic scheduler on top: it fires on an interval,
 // reads each nym's dirty state (plumbed up from internal/vm through
-// core.Nym), skips clean members entirely — no upload, no login, no
-// provider round trip — and backs off exponentially while the
-// orchestrator is under admission pressure or preempting. Per-pass
-// SweepRecords aggregate into a SweepReport (wire bytes, dirty-skip
-// ratio, p50/p95 sweep latency), and a per-member saving guard makes
+// core.Nym) and backs off exponentially, up to four intervals, while
+// the orchestrator is under admission pressure or preempting. A
+// Cadence picks the members a pass saves: the default dirty mode
+// skips clean members entirely — no upload, no login, no provider
+// round trip — the all mode saves everything (SaveSweep's mode), and
+// the adaptive mode defers a dirty member until its delta is worth
+// shipping or its RPO deadline nears. Each pass's counters form a
+// SweepTally; per-pass SweepRecords sum into a SweepReport (wire
+// bytes, dirty-skip ratio, and a Spread of sweep latency and
+// per-save staleness), and a per-member saving guard makes
 // the scheduler, SaveSweep, CheckpointNym, and preemption eviction
 // mutually exclusive per nym, so no nym is ever double-checkpointed.
 package fleet

@@ -891,23 +891,6 @@ func (o *Orchestrator) setState(m *Member, s MemberState) {
 	o.notify()
 }
 
-// SweepStats aggregates one staggered save sweep.
-type SweepStats struct {
-	Saves  int // successful checkpoints
-	Errors int // failed checkpoints
-	// Busy counts members left to another pass's in-flight save:
-	// their pre-existing checkpoint landed or is landing, but state
-	// dirtied after that save's export was NOT captured here. A
-	// pre-shutdown flush that needs full coverage should re-sweep
-	// while Busy > 0.
-	Busy          int
-	UploadedBytes int64 // vault wire bytes actually shipped
-	BaselineBytes int64 // what monolithic re-uploads would have cost
-	NewChunks     int
-	TotalChunks   int
-	Elapsed       time.Duration
-}
-
 // SaveSweep checkpoints every Running persistent member through the
 // NymVault, mutated or not — the caller-driven full checkpoint (a
 // fleet's cold save, a pre-shutdown flush). Save launches are spaced
@@ -915,26 +898,12 @@ type SweepStats struct {
 // fleet-wide checkpoint is a smooth trickle on the anonymizer and the
 // providers rather than a thundering herd. destFor maps each member
 // to its vault destination (typically one pseudonymous account per
-// nym). Members another pass is already saving are left alone. For
-// the periodic, dirty-skipping variant see StartSweeps.
+// nym). Members another pass is already saving are left alone and
+// counted Busy: state they dirtied after that save's export was NOT
+// captured, so a pre-shutdown flush that needs full coverage should
+// re-sweep while Busy > 0. For the periodic, dirty-skipping variant see StartSweeps.
 func (o *Orchestrator) SaveSweep(p *sim.Proc, password string, destFor func(*Member) core.VaultDest) (SweepStats, error) {
-	rec, err := o.runSweep(p, SweepConfig{
-		Password:    password,
-		DestFor:     destFor,
-		Stagger:     o.cfg.SaveStagger,
-		Concurrency: o.cfg.SaveConcurrency,
-		SaveAll:     true,
-	})
-	return SweepStats{
-		Saves:         rec.Saves,
-		Errors:        rec.Errors,
-		Busy:          rec.Busy,
-		UploadedBytes: rec.UploadedBytes,
-		BaselineBytes: rec.BaselineBytes,
-		NewChunks:     rec.NewChunks,
-		TotalChunks:   rec.TotalChunks,
-		Elapsed:       rec.Elapsed,
-	}, err
+	return o.runSweep(p, SweepConfig{Password: password, DestFor: destFor, Cadence: Cadence{Mode: CadenceAll}})
 }
 
 // CheckpointNym vault-saves one Running member synchronously and

@@ -18,7 +18,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"nymix/internal/cloud"
@@ -51,47 +51,41 @@ func (o *Orchestrator) releaseClaim(m *Member, tok *saveClaim) {
 	}
 }
 
-// SweepConfig parameterizes the checkpoint sweep scheduler (and a
-// single SweepOnce pass). Zero values take defaults.
-type SweepConfig struct {
-	// Interval is the scheduler's firing period (default 30s).
-	Interval time.Duration
-	// Password seals the checkpoints; DestFor maps each member to its
-	// vault destination. Both are required for StartSweeps.
-	Password string
-	DestFor  func(*Member) core.VaultDest
-	// Stagger spaces successive save launches inside one sweep
-	// (default: the orchestrator's SaveStagger). Concurrency caps
-	// in-flight saves per sweep (default: SaveConcurrency).
-	Stagger     time.Duration
-	Concurrency int
-	// SaveAll disables dirty-skip: every Running persistent member is
-	// saved, mutated or not — the naive mode the scheduled sweep is
-	// benchmarked against.
-	SaveAll bool
-	// MaxBackoff caps the exponential backoff applied while the
-	// orchestrator is under admission pressure or preempting
-	// (default 4x Interval). It is also the staleness ceiling: once
-	// the delay is fully backed off, ticks sweep even under pressure —
-	// pressure defers checkpoints, it never cancels them, so a fleet
-	// pinned at capacity still checkpoints at MaxBackoff cadence.
-	MaxBackoff time.Duration
-	// Adaptive scales each member's sweep eligibility from its
-	// observed dirty byte-rate: a pass still considers every Running
-	// persistent member, but a dirty member whose churn has not yet
-	// accumulated a delta worth shipping is Deferred rather than
-	// saved. Hot members checkpoint every Interval; cold members
-	// stretch toward their RPO ceiling.
-	Adaptive bool
+// CadenceMode selects which Running persistent members a sweep pass
+// checkpoints.
+type CadenceMode int
+
+const (
+	// CadenceDirty, the zero value, saves every member whose state
+	// mutated since its last checkpoint and skips clean ones.
+	CadenceDirty CadenceMode = iota
+	// CadenceAll saves every member, mutated or not: SaveSweep's full
+	// checkpoint, and the naive mode the dirty cadence is benchmarked
+	// against.
+	CadenceAll
+	// CadenceAdaptive scales each member's eligibility from its
+	// observed dirty byte-rate: a dirty member whose churn has not yet
+	// accumulated a delta worth shipping is Deferred rather than saved.
+	// Hot members checkpoint every Interval; cold members stretch
+	// toward their RPO ceiling. A cluster coordinator also spends this
+	// mode's idle slots on opportunistic vault GC.
+	CadenceAdaptive
+)
+
+// Cadence is a sweep pass's checkpoint policy: one mode plus the
+// adaptive mode's parameters, which the other modes ignore.
+type Cadence struct {
+	Mode CadenceMode
 	// RPO is the per-member checkpoint-staleness ceiling the adaptive
-	// cadence enforces (default 4x MaxBackoff): no dirty member is
-	// deferred past the point where its oldest unsaved mutation could
-	// be RPO old, provided passes keep starting within NextPassIn of
-	// each other and complete within one Interval. It is the
-	// per-member analogue of MaxBackoff's scheduler-wide saturation
-	// guarantee — and composes with it: the scheduler's own tick
-	// horizon (backoff included) is folded into NextPassIn, so the
-	// ceiling holds through pressure episodes, not just calm ones.
+	// cadence enforces (default 16x Interval, four times the backoff
+	// ceiling): no dirty member is deferred past the point where its
+	// oldest unsaved mutation could be RPO old, provided passes keep
+	// starting within NextPassIn of each other and complete within one
+	// Interval. It is the per-member analogue of the scheduler's
+	// saturated-backoff guarantee — and composes with it: the
+	// scheduler's own tick horizon (backoff included) is folded into
+	// NextPassIn, so the ceiling holds through pressure episodes, not
+	// just calm ones.
 	RPO time.Duration
 	// RPOFor overrides the staleness ceiling per member (nil or a
 	// non-positive return: the member uses RPO).
@@ -101,74 +95,119 @@ type SweepConfig struct {
 	// member's interval until its observed rate would accumulate this
 	// much, and a member already holding this much dirt saves now.
 	TargetDeltaBytes int64
+}
+
+// SweepConfig parameterizes the checkpoint sweep scheduler (and a
+// single SweepOnce pass). Zero values take defaults. Save launches
+// inside a pass are spaced by the orchestrator's SaveStagger with at
+// most SaveConcurrency in flight.
+type SweepConfig struct {
+	// Interval is the scheduler's firing period (default 30s).
+	Interval time.Duration
+	// Password seals the checkpoints; DestFor maps each member to its
+	// vault destination. Both are required for StartSweeps.
+	Password string
+	DestFor  func(*Member) core.VaultDest
+	// Cadence decides which members a pass saves (default: dirty).
+	Cadence Cadence
 	// NextPassIn is the caller's expected time until the next pass
-	// over this fleet (default MaxBackoff — the scheduler's own
-	// worst-case re-arm). The adaptive cadence never defers a member
-	// whose RPO deadline falls inside this horizon: deferral is only
-	// legal when a later pass can still honor the ceiling.
+	// over this fleet (default: the 4x Interval backoff ceiling — the
+	// scheduler's own worst-case re-arm). The adaptive cadence never
+	// defers a member whose RPO deadline falls inside this horizon:
+	// deferral is only legal when a later pass can still honor the
+	// ceiling.
 	NextPassIn time.Duration
 }
 
-func (c *SweepConfig) fillDefaults(base Config) {
+// maxBackoff caps the exponential backoff applied while the
+// orchestrator is under admission pressure or preempting. It is also
+// the staleness ceiling: once the delay is fully backed off, ticks
+// sweep even under pressure — pressure defers checkpoints, it never
+// cancels them, so a fleet pinned at capacity still checkpoints every
+// four Intervals.
+func (c *SweepConfig) maxBackoff() time.Duration { return 4 * c.Interval }
+
+func (c *SweepConfig) fillDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = 30 * time.Second
 	}
-	if c.Stagger <= 0 {
-		c.Stagger = base.SaveStagger
+	if c.Cadence.RPO <= 0 {
+		c.Cadence.RPO = 4 * c.maxBackoff()
 	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = base.SaveConcurrency
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 4 * c.Interval
-	}
-	if c.RPO <= 0 {
-		c.RPO = 4 * c.MaxBackoff
-	}
-	if c.TargetDeltaBytes <= 0 {
-		c.TargetDeltaBytes = 256 << 10
+	if c.Cadence.TargetDeltaBytes <= 0 {
+		c.Cadence.TargetDeltaBytes = 256 << 10
 	}
 	if c.NextPassIn <= 0 {
-		c.NextPassIn = c.MaxBackoff
+		c.NextPassIn = c.maxBackoff()
 	}
 }
 
-// SweepRecord is the telemetry of one scheduled sweep pass (or one
-// backed-off tick).
-type SweepRecord struct {
-	At      sim.Time      // when the pass started
-	Elapsed time.Duration // launch of first save to completion of last
-	// BackedOff marks a tick the scheduler skipped under admission or
-	// preemption pressure; all other fields are zero.
-	BackedOff bool
-	Eligible  int // Running persistent members considered
-	Saves     int // checkpoints performed
-	Skipped   int // clean members skipped (the dirty-skip win)
-	Deferred  int // dirty members whose adaptive cadence was not yet due
-	Busy      int // members already mid-save, left alone
-	Errors    int // failed checkpoints
+// SweepTally is the additive checkpoint work of sweep passes: one
+// pass's (SweepRecord) or a sum over passes and hosts (SweepReport,
+// the cluster coordinator's report, the SLO report). Every eligible
+// member lands in exactly one of Saves, Skipped, Deferred, Busy and
+// Errors.
+type SweepTally struct {
+	Eligible int // Running persistent members considered
+	Saves    int // checkpoints performed
+	Skipped  int // clean members skipped (the dirty-skip win)
+	Deferred int // dirty members whose adaptive cadence was not yet due
+	Busy     int // members already mid-save, left alone
+	Errors   int // failed checkpoints
 	// UploadedBytes is vault wire actually shipped; LoginBytes is the
 	// per-provider session-setup wire charged for each launched save.
 	// BaselineBytes prices the monolithic re-upload of what was saved.
 	UploadedBytes int64
 	LoginBytes    int64
 	BaselineBytes int64
-	NewChunks     int
-	TotalChunks   int
+	// NewChunks counts uploaded chunks; TotalChunks sums each saved
+	// checkpoint's full manifest chunk count — the dedup denominator
+	// NewChunks is read against.
+	NewChunks   int
+	TotalChunks int
 }
 
-// WireBytes is the pass's total checkpoint wire: uploads plus session
-// setup.
-func (r SweepRecord) WireBytes() int64 { return r.UploadedBytes + r.LoginBytes }
+// Add accumulates u into t.
+func (t *SweepTally) Add(u SweepTally) {
+	t.Eligible += u.Eligible
+	t.Saves += u.Saves
+	t.Skipped += u.Skipped
+	t.Deferred += u.Deferred
+	t.Busy += u.Busy
+	t.Errors += u.Errors
+	t.UploadedBytes += u.UploadedBytes
+	t.LoginBytes += u.LoginBytes
+	t.BaselineBytes += u.BaselineBytes
+	t.NewChunks += u.NewChunks
+	t.TotalChunks += u.TotalChunks
+}
 
-// DirtySkipRatio is the fraction of eligible members skipped as clean
-// (1.0 = a fully idle fleet cost nothing).
-func (r SweepRecord) DirtySkipRatio() float64 {
-	if r.Eligible == 0 {
+// WireBytes is the total checkpoint wire: uploads plus session setup.
+func (t SweepTally) WireBytes() int64 { return t.UploadedBytes + t.LoginBytes }
+
+// DirtySkipRatio is the fraction of eligible member-passes skipped as
+// clean (1.0 = a fully idle fleet cost nothing).
+func (t SweepTally) DirtySkipRatio() float64 {
+	if t.Eligible == 0 {
 		return 0
 	}
-	return float64(r.Skipped) / float64(r.Eligible)
+	return float64(t.Skipped) / float64(t.Eligible)
 }
+
+// SweepRecord is the telemetry of one sweep pass (or one backed-off
+// tick).
+type SweepRecord struct {
+	At      sim.Time      // when the pass started
+	Elapsed time.Duration // launch of first save to completion of last
+	// BackedOff marks a tick the scheduler skipped under admission or
+	// preemption pressure; all other fields are zero.
+	BackedOff bool
+	SweepTally
+}
+
+// SweepStats is the result of one SaveSweep: the same record a
+// scheduled pass produces.
+type SweepStats = SweepRecord
 
 // SweepReport aggregates every recorded sweep pass — the typed
 // telemetry the experiments render: total wire, dirty-skip ratio, and
@@ -176,44 +215,14 @@ func (r SweepRecord) DirtySkipRatio() float64 {
 type SweepReport struct {
 	Sweeps   int // completed passes (backed-off ticks excluded)
 	Backoffs int // ticks skipped under pressure
-	Eligible int
-	Saves    int
-	Skips    int
-	Deferred int // adaptive-cadence deferrals (dirty, not yet due)
-	Busy     int
-	Errors   int
-	// UploadedBytes/LoginBytes/BaselineBytes sum the per-pass figures.
-	UploadedBytes int64
-	LoginBytes    int64
-	BaselineBytes int64
-	NewChunks     int
-	// TotalChunks sums each saved checkpoint's full manifest chunk
-	// count — the dedup denominator NewChunks is read against.
-	TotalChunks int
-	// LatencyP50/P95 are nearest-rank percentiles over completed
-	// passes' Elapsed times.
-	LatencyP50 time.Duration
-	LatencyP95 time.Duration
-	// StalenessP50/P95/Max are nearest-rank percentiles over the
-	// per-save checkpoint-staleness samples (see CheckpointStaleness):
-	// how old each saved member's oldest unsaved mutation could have
-	// been when its save launched.
-	StalenessP50 time.Duration
-	StalenessP95 time.Duration
-	StalenessMax time.Duration
-	Records      []SweepRecord
-}
-
-// WireBytes is the total checkpoint wire across all passes.
-func (r SweepReport) WireBytes() int64 { return r.UploadedBytes + r.LoginBytes }
-
-// DirtySkipRatio is the overall fraction of eligible member-passes
-// skipped as clean.
-func (r SweepReport) DirtySkipRatio() float64 {
-	if r.Eligible == 0 {
-		return 0
-	}
-	return float64(r.Skips) / float64(r.Eligible)
+	SweepTally
+	// Latency summarizes completed passes' Elapsed times.
+	Latency Spread
+	// Staleness summarizes the per-save checkpoint-staleness samples
+	// (see CheckpointStaleness): how old each saved member's oldest
+	// unsaved mutation could have been when its save launched.
+	Staleness Spread
+	Records   []SweepRecord
 }
 
 // SweepReport builds the aggregate report from every pass recorded so
@@ -227,28 +236,11 @@ func (o *Orchestrator) SweepReport() SweepReport {
 			continue
 		}
 		rep.Sweeps++
-		rep.Eligible += rec.Eligible
-		rep.Saves += rec.Saves
-		rep.Skips += rec.Skipped
-		rep.Deferred += rec.Deferred
-		rep.Busy += rec.Busy
-		rep.Errors += rec.Errors
-		rep.UploadedBytes += rec.UploadedBytes
-		rep.LoginBytes += rec.LoginBytes
-		rep.BaselineBytes += rec.BaselineBytes
-		rep.NewChunks += rec.NewChunks
-		rep.TotalChunks += rec.TotalChunks
+		rep.Add(rec.SweepTally)
 		lats = append(lats, rec.Elapsed)
 	}
-	rep.LatencyP50 = LatencyPercentile(lats, 0.50)
-	rep.LatencyP95 = LatencyPercentile(lats, 0.95)
-	rep.StalenessP50 = LatencyPercentile(o.sweepStale, 0.50)
-	rep.StalenessP95 = LatencyPercentile(o.sweepStale, 0.95)
-	for _, s := range o.sweepStale {
-		if s > rep.StalenessMax {
-			rep.StalenessMax = s
-		}
-	}
+	rep.Latency = SpreadOf(lats)
+	rep.Staleness = SpreadOf(o.sweepStale)
 	return rep
 }
 
@@ -268,15 +260,34 @@ func (o *Orchestrator) SweepErrors() []error {
 	return append([]error(nil), o.sweepErrs...)
 }
 
+// Spread is the nearest-rank p50 and p95 and the maximum of a set of
+// duration samples; all zero for an empty set.
+type Spread struct{ P50, P95, Max time.Duration }
+
+// SpreadOf summarizes ds. Exported so layered telemetry (the cluster
+// coordinator, the SLO report, the experiments) renders percentiles
+// the same way.
+func SpreadOf(ds []time.Duration) Spread {
+	if len(ds) == 0 {
+		return Spread{}
+	}
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
+	return Spread{P50: nearestRank(sorted, 0.50), P95: nearestRank(sorted, 0.95), Max: sorted[len(sorted)-1]}
+}
+
 // LatencyPercentile returns the nearest-rank q-quantile of ds, or 0.
-// Exported so layered sweep telemetry (the cluster coordinator, the
-// experiments) renders percentiles the same way.
 func LatencyPercentile(ds []time.Duration, q float64) time.Duration {
 	if len(ds) == 0 {
 		return 0
 	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
+	return nearestRank(sorted, q)
+}
+
+// nearestRank returns the q-quantile of a sorted, non-empty sample.
+func nearestRank(sorted []time.Duration, q float64) time.Duration {
 	idx := int(q*float64(len(sorted))+0.5) - 1
 	if idx < 0 {
 		idx = 0
@@ -291,10 +302,10 @@ func LatencyPercentile(ds []time.Duration, q float64) time.Duration {
 // fires one Interval from now and the scheduler re-arms after every
 // pass until StopSweeps. While the orchestrator is under admission
 // pressure (launches queued for RAM) or a preemption pass is armed or
-// in flight, ticks are skipped and the delay doubles up to MaxBackoff;
-// once saturated, ticks sweep even under pressure (MaxBackoff is the
-// checkpoint-staleness ceiling), and the first calm tick resets the
-// cadence.
+// in flight, ticks are skipped and the delay doubles up to four
+// Intervals; once saturated, ticks sweep even under pressure (the
+// backoff ceiling is the checkpoint-staleness ceiling), and the first
+// calm tick resets the cadence.
 func (o *Orchestrator) StartSweeps(cfg SweepConfig) error {
 	if o.sweepCfg != nil {
 		return ErrSweepsRunning
@@ -302,7 +313,7 @@ func (o *Orchestrator) StartSweeps(cfg SweepConfig) error {
 	if cfg.Password == "" || cfg.DestFor == nil {
 		return nymerr.New(CodeSweepUnconfigured, "fleet: sweep scheduler needs Password and DestFor")
 	}
-	cfg.fillDefaults(o.cfg)
+	cfg.fillDefaults()
 	o.sweepCfg = &cfg
 	o.sweepDelay = cfg.Interval
 	o.sweepTimer = o.eng.Schedule(cfg.Interval, o.sweepTick)
@@ -346,19 +357,17 @@ func (o *Orchestrator) sweepTick() {
 	if cfg == nil {
 		return
 	}
-	if o.underSavePressure() && o.sweepDelay < cfg.MaxBackoff {
+	ceiling := cfg.maxBackoff()
+	if o.underSavePressure() && o.sweepDelay < ceiling {
 		o.sweepRecs = append(o.sweepRecs, SweepRecord{At: o.eng.Now(), BackedOff: true})
-		o.sweepDelay *= 2
-		if o.sweepDelay > cfg.MaxBackoff {
-			o.sweepDelay = cfg.MaxBackoff
-		}
+		o.sweepDelay = min(2*o.sweepDelay, ceiling)
 		o.sweepTimer = o.eng.Schedule(o.sweepDelay, o.sweepTick)
 		return
 	}
-	// Either calm, or the backoff is saturated at MaxBackoff: sweep
+	// Either calm, or the backoff is saturated at its ceiling: sweep
 	// anyway. Sustained pressure (a fleet pinned at capacity keeps its
 	// admission queue non-empty forever) must defer checkpoints, never
-	// starve them — MaxBackoff is the staleness ceiling.
+	// starve them — the backoff ceiling is the staleness ceiling.
 	if !o.underSavePressure() {
 		o.sweepDelay = cfg.Interval
 	}
@@ -377,11 +386,11 @@ func (o *Orchestrator) sweepTick() {
 	// can still honor its RPO. The next pass is NOT simply one
 	// sweepDelay away: if pressure arrives right after this (calm)
 	// pass, the following ticks back off — Interval, 2x, 4x, ... up
-	// to MaxBackoff — before a pass is forced at saturation. That
-	// chain sums to under twice MaxBackoff, so that is the horizon
+	// to the ceiling — before a pass is forced at saturation. That
+	// chain sums to under twice the ceiling, so that is the horizon
 	// the cadence must assume.
 	run := *cfg
-	run.NextPassIn = 2 * cfg.MaxBackoff
+	run.NextPassIn = 2 * ceiling
 	o.sweeping++
 	o.eng.Go("fleet/sweep", func(p *sim.Proc) {
 		o.SweepOnce(p, run)
@@ -399,12 +408,13 @@ func (o *Orchestrator) sweepTick() {
 
 // SweepOnce runs one checkpoint sweep pass immediately on the calling
 // process and records its telemetry: every Running persistent member
-// is considered; clean members are skipped (unless SaveAll), members
-// already mid-save are left alone, and the rest are checkpointed with
-// the pass's stagger and concurrency bound. The cluster-wide sweep
+// is considered; members the cadence does not select are skipped or
+// deferred, members already mid-save are left alone, and the rest are
+// checkpointed with the orchestrator's save stagger and concurrency
+// bound. The cluster-wide sweep
 // coordinator calls this per host inside its stagger slots.
 func (o *Orchestrator) SweepOnce(p *sim.Proc, cfg SweepConfig) (SweepRecord, error) {
-	cfg.fillDefaults(o.cfg)
+	cfg.fillDefaults()
 	o.sweeping++
 	rec, err := o.runSweep(p, cfg)
 	o.sweeping--
@@ -439,9 +449,10 @@ func (o *Orchestrator) cadenceDefers(m *Member, cfg SweepConfig, now sim.Time) b
 	if m.cad.lastSave == 0 && m.cad.cleanAt == 0 {
 		return false
 	}
-	rpo := cfg.RPO
-	if cfg.RPOFor != nil {
-		if r := cfg.RPOFor(m); r > 0 {
+	cad := cfg.Cadence
+	rpo := cad.RPO
+	if cad.RPOFor != nil {
+		if r := cad.RPOFor(m); r > 0 {
 			rpo = r
 		}
 	}
@@ -449,12 +460,12 @@ func (o *Orchestrator) cadenceDefers(m *Member, cfg SweepConfig, now sim.Time) b
 	if now+cfg.NextPassIn+cfg.Interval >= since+rpo {
 		return false
 	}
-	if m.nym.DirtyState().DiskBytes >= cfg.TargetDeltaBytes {
+	if m.nym.DirtyState().DiskBytes >= cad.TargetDeltaBytes {
 		return false
 	}
 	desired := rpo
 	if m.cad.rate > 0 {
-		if d := time.Duration(float64(cfg.TargetDeltaBytes) / m.cad.rate * float64(time.Second)); d < desired {
+		if d := time.Duration(float64(cad.TargetDeltaBytes) / m.cad.rate * float64(time.Second)); d < desired {
 			desired = d
 		}
 	}
@@ -464,14 +475,14 @@ func (o *Orchestrator) cadenceDefers(m *Member, cfg SweepConfig, now sim.Time) b
 	return now < since+desired
 }
 
-// runSweep is the shared sweep engine under SaveSweep (SaveAll, the
+// runSweep is the shared sweep engine under SaveSweep (CadenceAll, the
 // caller-driven full checkpoint) and SweepOnce (the scheduler's
-// dirty-skipping pass).
+// dirty-skipping or adaptive pass).
 func (o *Orchestrator) runSweep(p *sim.Proc, cfg SweepConfig) (SweepRecord, error) {
 	o.opStarted()
 	defer o.opDone()
 	rec := SweepRecord{At: p.Now()}
-	gate := newSem(o.eng, int64(cfg.Concurrency))
+	gate := newSem(o.eng, int64(o.cfg.SaveConcurrency))
 	var futs []*sim.Future[core.SaveResult]
 	var saved []*Member
 	var dests []core.VaultDest
@@ -493,7 +504,7 @@ func (o *Orchestrator) runSweep(p *sim.Proc, cfg SweepConfig) (SweepRecord, erro
 			continue
 		}
 		dirty := m.nym.StateDirty()
-		if !cfg.SaveAll && !dirty {
+		if cfg.Cadence.Mode != CadenceAll && !dirty {
 			// A clean observation re-anchors the staleness clock and
 			// feeds the rate estimator a zero-delta round, so an idle
 			// member's rate decays instead of reading hot forever.
@@ -502,12 +513,12 @@ func (o *Orchestrator) runSweep(p *sim.Proc, cfg SweepConfig) (SweepRecord, erro
 			m.cad.cleanAt = p.Now()
 			continue
 		}
-		if cfg.Adaptive && !cfg.SaveAll && o.cadenceDefers(m, cfg, p.Now()) {
+		if cfg.Cadence.Mode == CadenceAdaptive && o.cadenceDefers(m, cfg, p.Now()) {
 			rec.Deferred++
 			continue
 		}
 		if !first {
-			p.Sleep(cfg.Stagger)
+			p.Sleep(o.cfg.SaveStagger)
 		}
 		first = false
 		sim.Await(p, gate.reserve(1))
@@ -524,7 +535,7 @@ func (o *Orchestrator) runSweep(p *sim.Proc, cfg SweepConfig) (SweepRecord, erro
 		// Sample staleness at launch: the checkpoint about to ship
 		// captures everything up to now, so its staleness is the age
 		// of the oldest mutation it could have been waiting on. Clean
-		// members swept under SaveAll contribute no sample — nothing
+		// members swept under CadenceAll contribute no sample — nothing
 		// was at risk.
 		stale := time.Duration(-1)
 		if dirty {

@@ -96,11 +96,9 @@ func TestAdaptiveCadenceDefersColdMembers(t *testing.T) {
 		coldGen := cold.Nym().CheckpointGen()
 		cfg := SweepConfig{
 			Password: "pw", DestFor: sweepDest,
-			Adaptive:         true,
-			Interval:         10 * time.Second,
-			NextPassIn:       10 * time.Second,
-			RPO:              80 * time.Second,
-			TargetDeltaBytes: 64 << 10,
+			Interval:   10 * time.Second,
+			NextPassIn: 10 * time.Second,
+			Cadence:    Cadence{Mode: CadenceAdaptive, RPO: 80 * time.Second, TargetDeltaBytes: 64 << 10},
 		}
 		var saves, deferred int
 		for round := 0; round < 8; round++ {
@@ -139,14 +137,14 @@ func TestAdaptiveCadenceDefersColdMembers(t *testing.T) {
 		if rep.Deferred != deferred {
 			t.Errorf("report Deferred = %d, want %d", rep.Deferred, deferred)
 		}
-		if rep.StalenessMax <= 0 || rep.StalenessMax > cfg.RPO {
-			t.Errorf("staleness max = %v, want in (0, %v]", rep.StalenessMax, cfg.RPO)
+		if rep.Staleness.Max <= 0 || rep.Staleness.Max > cfg.Cadence.RPO {
+			t.Errorf("staleness max = %v, want in (0, %v]", rep.Staleness.Max, cfg.Cadence.RPO)
 		}
 		// The forced cold save must show real deferral: its staleness
 		// spans several passes, not one.
-		if rep.StalenessMax < 40*time.Second {
+		if rep.Staleness.Max < 40*time.Second {
 			t.Errorf("staleness max = %v, want >= 40s (cold save was not deferred)",
-				rep.StalenessMax)
+				rep.Staleness.Max)
 		}
 		if err := o.StopAll(p); err != nil {
 			t.Errorf("stop: %v", err)
@@ -156,7 +154,7 @@ func TestAdaptiveCadenceDefersColdMembers(t *testing.T) {
 
 // TestAdaptiveCadenceHonorsRPOUnderPressure is the safety property:
 // with sustained admission pressure backing the scheduler off to its
-// MaxBackoff cadence AND TargetDeltaBytes set far beyond reach (so
+// saturated backoff cadence AND TargetDeltaBytes set far beyond reach (so
 // only the RPO horizon can force a save), every member keeps getting
 // checkpointed and no staleness sample ever exceeds the RPO ceiling.
 func TestAdaptiveCadenceHonorsRPOUnderPressure(t *testing.T) {
@@ -175,9 +173,8 @@ func TestAdaptiveCadenceHonorsRPOUnderPressure(t *testing.T) {
 		}
 		if err := o.StartSweeps(SweepConfig{
 			Interval: 10 * time.Second, Password: "pw", DestFor: sweepDest,
-			Adaptive:         true,
-			RPO:              rpo,
-			TargetDeltaBytes: 1 << 40, // unreachable: only the RPO forces saves
+			// An unreachable delta target: only the RPO forces saves.
+			Cadence: Cadence{Mode: CadenceAdaptive, RPO: rpo, TargetDeltaBytes: 1 << 40},
 		}); err != nil {
 			t.Errorf("start sweeps: %v", err)
 			return
@@ -213,10 +210,10 @@ func TestAdaptiveCadenceHonorsRPOUnderPressure(t *testing.T) {
 			t.Errorf("Deferred = %d, want >= 2 (cadence never stretched)", rep.Deferred)
 		}
 		// Deferral must actually stretch cadence beyond the forced
-		// MaxBackoff tick gap — otherwise the RPO bound is vacuous.
-		if rep.StalenessP95 < 60*time.Second {
+		// backoff-ceiling tick gap — otherwise the RPO bound is vacuous.
+		if rep.Staleness.P95 < 60*time.Second {
 			t.Errorf("staleness p95 = %v, want >= 60s (saves every pass; nothing deferred)",
-				rep.StalenessP95)
+				rep.Staleness.P95)
 		}
 		if err := o.StopAll(p); err != nil {
 			t.Errorf("stop all: %v", err)

@@ -106,7 +106,7 @@ func TestMixCascadeSeverClassifiesAndCoverSurvives(t *testing.T) {
 		// The sweep keeps saving what still runs, and the unaffected
 		// nym's cover clock never misses a beat.
 		westCover := coverBytes(c.Member(westNym))
-		if err := c.StartSweeps(cluster.SweepConfig{Interval: 15 * time.Second, Tokens: 1, SaveAll: true}); err != nil {
+		if err := c.StartSweeps(cluster.SweepConfig{Interval: 15 * time.Second, Tokens: 1, Cadence: fleet.Cadence{Mode: fleet.CadenceAll}}); err != nil {
 			t.Errorf("sweeps: %v", err)
 			return
 		}

@@ -2,6 +2,7 @@ package slo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -50,11 +51,9 @@ type Report struct {
 	FailuresByCode []FailureCount
 	MemberHealth   []MemberHealth // host order, then name order within a host
 
-	// Ramp latency: admission queue entry to Running, nearest-rank
-	// percentiles over members that reached Running at least once.
-	RampP50 time.Duration
-	RampP95 time.Duration
-	RampMax time.Duration
+	// Ramp latency: admission queue entry to Running, over members
+	// that reached Running at least once.
+	Ramp fleet.Spread
 
 	// Restart / preemption / migration machinery: absolute counts and
 	// events per simulated hour.
@@ -65,26 +64,24 @@ type Report struct {
 	PreemptionRate float64
 	MigrationRate  float64
 
-	// Checkpoint sweep machinery.
-	Sweeps          int
-	SweepBackoffs   int
-	SweepErrors     int
-	DirtySkipRatio  float64
-	SweepLatencyP50 time.Duration
-	SweepLatencyP95 time.Duration
-	// Staleness: gaps between consecutive completed sweep passes — how
-	// stale a checkpoint is allowed to get under backoff pressure.
-	StalenessP50 time.Duration
-	StalenessMax time.Duration
+	// Checkpoint sweep machinery. SweepErrors counts each failed save
+	// once, plus the cluster coordinator's own failures (batched moves,
+	// idle-slot GC).
+	Sweeps         int
+	SweepBackoffs  int
+	SweepErrors    int
+	DirtySkipRatio float64
+	SweepLatency   fleet.Spread
+	// Staleness: gaps between one host's consecutive completed sweep
+	// passes, pooled over hosts — how stale a checkpoint is allowed to
+	// get under backoff pressure.
+	Staleness fleet.Spread
 	// Adaptive checkpoint economy: members the churn-adaptive cadence
 	// postponed, and per-save member staleness (how old each saved
 	// member's oldest unsaved mutation could have been when its save
-	// launched — sample-pooled across hosts, unlike the pass-gap
-	// staleness above).
-	SweepDeferred      int
-	MemberStalenessP50 time.Duration
-	MemberStalenessP95 time.Duration
-	MemberStalenessMax time.Duration
+	// launched — sample-pooled across hosts).
+	SweepDeferred   int
+	MemberStaleness fleet.Spread
 	// Opportunistic VaultGC spend and recovery (cluster reports only).
 	GCRuns           int
 	GCReclaimedBytes int64
@@ -167,7 +164,7 @@ func FromCluster(c *cluster.Cluster) Report {
 	b.r.GCReclaimedBytes = crep.GCReclaimedBytes
 	b.r.GCWireBytes = crep.GCWireBytes
 	b.r.CheckpointWireBytes += crep.GCWireBytes
-	b.r.SweepErrors += len(c.SweepErrors())
+	b.r.SweepErrors += crep.CoordinatorErrors
 	return b.finish()
 }
 
@@ -175,12 +172,11 @@ func FromCluster(c *cluster.Cluster) Report {
 // and rate math in finish.
 type builder struct {
 	r         Report
+	sweeps    fleet.SweepTally
 	ramps     []time.Duration
 	sweepLats []time.Duration
+	passGaps  []time.Duration
 	stale     []time.Duration
-	passAts   []sim.Time
-	eligible  int
-	skips     int
 }
 
 func (b *builder) addMembers(host string, members []*fleet.Member, launchedAt func(string) (sim.Time, bool)) {
@@ -240,57 +236,39 @@ func (b *builder) addFailures(host string, recs []fleet.FailureRecord) {
 	}
 }
 
+// addSweeps folds one host's sweep report. Pass gaps are taken within
+// the host: gaps between different hosts' passes are slot spacing, not
+// staleness.
 func (b *builder) addSweeps(rep fleet.SweepReport) {
 	b.r.Sweeps += rep.Sweeps
 	b.r.SweepBackoffs += rep.Backoffs
-	b.r.SweepErrors += rep.Errors
-	b.r.SweepDeferred += rep.Deferred
-	b.eligible += rep.Eligible
-	b.skips += rep.Skips
-	b.r.CheckpointWireBytes += rep.WireBytes()
-	b.r.CheckpointBaselineBytes += rep.BaselineBytes
+	b.sweeps.Add(rep.SweepTally)
+	var passAts []sim.Time
 	for _, rec := range rep.Records {
 		if rec.BackedOff {
 			continue
 		}
 		b.sweepLats = append(b.sweepLats, rec.Elapsed)
-		b.passAts = append(b.passAts, rec.At)
+		passAts = append(passAts, rec.At)
+	}
+	slices.Sort(passAts)
+	for i := 1; i < len(passAts); i++ {
+		b.passGaps = append(b.passGaps, passAts[i]-passAts[i-1])
 	}
 }
 
 // finish folds the accumulated samples into percentiles and rates.
 func (b *builder) finish() Report {
 	r := &b.r
-	r.RampP50 = fleet.LatencyPercentile(b.ramps, 0.50)
-	r.RampP95 = fleet.LatencyPercentile(b.ramps, 0.95)
-	for _, d := range b.ramps {
-		if d > r.RampMax {
-			r.RampMax = d
-		}
-	}
-	r.SweepLatencyP50 = fleet.LatencyPercentile(b.sweepLats, 0.50)
-	r.SweepLatencyP95 = fleet.LatencyPercentile(b.sweepLats, 0.95)
-	if b.eligible > 0 {
-		r.DirtySkipRatio = float64(b.skips) / float64(b.eligible)
-	}
-	sort.Slice(b.passAts, func(i, j int) bool { return b.passAts[i] < b.passAts[j] })
-	var gaps []time.Duration
-	for i := 1; i < len(b.passAts); i++ {
-		gaps = append(gaps, b.passAts[i]-b.passAts[i-1])
-	}
-	r.StalenessP50 = fleet.LatencyPercentile(gaps, 0.50)
-	for _, g := range gaps {
-		if g > r.StalenessMax {
-			r.StalenessMax = g
-		}
-	}
-	r.MemberStalenessP50 = fleet.LatencyPercentile(b.stale, 0.50)
-	r.MemberStalenessP95 = fleet.LatencyPercentile(b.stale, 0.95)
-	for _, s := range b.stale {
-		if s > r.MemberStalenessMax {
-			r.MemberStalenessMax = s
-		}
-	}
+	r.SweepErrors += b.sweeps.Errors
+	r.SweepDeferred = b.sweeps.Deferred
+	r.DirtySkipRatio = b.sweeps.DirtySkipRatio()
+	r.CheckpointWireBytes += b.sweeps.WireBytes()
+	r.CheckpointBaselineBytes = b.sweeps.BaselineBytes
+	r.Ramp = fleet.SpreadOf(b.ramps)
+	r.SweepLatency = fleet.SpreadOf(b.sweepLats)
+	r.Staleness = fleet.SpreadOf(b.passGaps)
+	r.MemberStaleness = fleet.SpreadOf(b.stale)
 	if hours := r.At.Hours(); hours > 0 {
 		r.RestartRate = float64(r.Restarts) / hours
 		r.PreemptionRate = float64(r.Preempted.Total()) / hours
@@ -330,16 +308,16 @@ func (r Report) Render() string {
 	fmt.Fprintf(&b, "  members:     %d (%d running, %d failed)\n",
 		r.Members, r.Running, r.Failed)
 	fmt.Fprintf(&b, "  ramp:        p50 %v  p95 %v  max %v\n",
-		r.RampP50, r.RampP95, r.RampMax)
+		r.Ramp.P50, r.Ramp.P95, r.Ramp.Max)
 	fmt.Fprintf(&b, "  restarts:    %d (%.2f/h)   preemptions: %d (%.2f/h)   migrations: %d (%.2f/h)\n",
 		r.Restarts, r.RestartRate, r.Preempted.Total(), r.PreemptionRate, r.Migrations, r.MigrationRate)
 	fmt.Fprintf(&b, "  sweeps:      %d passes, %d backoffs, %d errors, %d deferred, dirty-skip %.0f%%\n",
 		r.Sweeps, r.SweepBackoffs, r.SweepErrors, r.SweepDeferred, 100*r.DirtySkipRatio)
 	fmt.Fprintf(&b, "  sweep lat:   p50 %v  p95 %v   staleness p50 %v  max %v\n",
-		r.SweepLatencyP50, r.SweepLatencyP95, r.StalenessP50, r.StalenessMax)
-	if r.MemberStalenessMax > 0 {
+		r.SweepLatency.P50, r.SweepLatency.P95, r.Staleness.P50, r.Staleness.Max)
+	if r.MemberStaleness.Max > 0 {
 		fmt.Fprintf(&b, "  ckpt stale:  p50 %v  p95 %v  max %v per saved member\n",
-			r.MemberStalenessP50, r.MemberStalenessP95, r.MemberStalenessMax)
+			r.MemberStaleness.P50, r.MemberStaleness.P95, r.MemberStaleness.Max)
 	}
 	if r.GCRuns > 0 {
 		fmt.Fprintf(&b, "  vault gc:    %d runs, %s reclaimed for %s of probe wire\n",

@@ -85,17 +85,20 @@ func TestFromFleetBucketsInjectedFailures(t *testing.T) {
 	if rep.Restarts != 1 {
 		t.Fatalf("restarts = %d, want 1", rep.Restarts)
 	}
-	if rep.RampP50 <= 0 || rep.RampP95 < rep.RampP50 || rep.RampMax < rep.RampP95 {
+	if rep.Ramp.P50 <= 0 || rep.Ramp.P95 < rep.Ramp.P50 || rep.Ramp.Max < rep.Ramp.P95 {
 		t.Fatalf("ramp percentiles out of order: p50=%v p95=%v max=%v",
-			rep.RampP50, rep.RampP95, rep.RampMax)
+			rep.Ramp.P50, rep.Ramp.P95, rep.Ramp.Max)
 	}
 	if rep.RestartRate <= 0 {
 		t.Fatalf("restart rate = %v, want > 0", rep.RestartRate)
 	}
 }
 
-func TestFromClusterAggregatesSweepsAndRender(t *testing.T) {
-	eng := sim.NewEngine(12)
+// newSweepCluster builds a two-host pool and returns it with a proc
+// body prefix that launches four persistent nyms and waits for them.
+func newSweepCluster(t *testing.T, seed uint64) (*sim.Engine, *cluster.Cluster, func(p *sim.Proc)) {
+	t.Helper()
+	eng := sim.NewEngine(seed)
 	_, world := webworld.BuildDefault(eng)
 	c, err := cluster.New(eng, world, cluster.Config{
 		Hosts:      2,
@@ -105,7 +108,7 @@ func TestFromClusterAggregatesSweepsAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run(t, eng, func(p *sim.Proc) {
+	ramp := func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
 			name := fmt.Sprintf("nym%02d", i)
 			opts := smallOpts(core.ModelPersistent)
@@ -117,6 +120,14 @@ func TestFromClusterAggregatesSweepsAndRender(t *testing.T) {
 		if err := c.AwaitRunning(p, 4); err != nil {
 			t.Errorf("await: %v", err)
 		}
+	}
+	return eng, c, ramp
+}
+
+func TestFromClusterAggregatesSweepsAndRender(t *testing.T) {
+	eng, c, ramp := newSweepCluster(t, 12)
+	run(t, eng, func(p *sim.Proc) {
+		ramp(p)
 		if err := c.StartSweeps(cluster.SweepConfig{Interval: 20 * time.Second}); err != nil {
 			t.Errorf("sweeps: %v", err)
 		}
@@ -158,5 +169,54 @@ func TestFromClusterAggregatesSweepsAndRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render() missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// Regression: every failed slot save is already in its host's sweep
+// record; the coordinator's error log wraps the same failures once per
+// slot, so adding both counted each failed save twice.
+func TestFromClusterCountsEachFailedSaveOnce(t *testing.T) {
+	eng, c, ramp := newSweepCluster(t, 13)
+	run(t, eng, func(p *sim.Proc) {
+		ramp(p)
+		if err := c.StartSweeps(cluster.SweepConfig{
+			Interval: 10 * time.Second, Cadence: fleet.Cadence{Mode: fleet.CadenceAll},
+			DestFor: func(name string) core.VaultDest {
+				return core.VaultDest{Providers: []string{"nowhere"}, Account: name, AccountPassword: "p"}
+			},
+		}); err != nil {
+			t.Errorf("sweeps: %v", err)
+		}
+		p.Sleep(25 * time.Second)
+		c.StopSweeps()
+		c.AwaitSweepsIdle(p)
+	})
+	want := c.SweepReport().Errors
+	if want == 0 {
+		t.Fatal("no slot save failed against an unreachable provider")
+	}
+	if got := FromCluster(c).SweepErrors; got != want {
+		t.Fatalf("SLO sweep errors = %d, want %d failed saves", got, want)
+	}
+}
+
+// Regression: pass-gap staleness is the gap between one host's
+// consecutive passes. Pooling every host's pass starts into one list
+// measured the slot spacing (Interval/hosts) instead.
+func TestFromClusterStalenessIsPerHostPassGap(t *testing.T) {
+	const interval = 20 * time.Second
+	eng, c, ramp := newSweepCluster(t, 14)
+	run(t, eng, func(p *sim.Proc) {
+		ramp(p)
+		if err := c.StartSweeps(cluster.SweepConfig{Interval: interval}); err != nil {
+			t.Errorf("sweeps: %v", err)
+		}
+		p.Sleep(75 * time.Second)
+		c.StopSweeps()
+		c.AwaitSweepsIdle(p)
+	})
+	rep := FromCluster(c)
+	if rep.Staleness.P50 != interval {
+		t.Fatalf("pass-gap staleness p50 = %v, want the %v interval", rep.Staleness.P50, interval)
 	}
 }
