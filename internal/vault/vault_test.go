@@ -2,6 +2,7 @@ package vault
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"strings"
@@ -121,6 +122,19 @@ func mustEqualState(t *testing.T, want, got *nymstate.State) {
 	}
 	if !reflect.DeepEqual(map[string]string(want.AnonState), map[string]string(got.AnonState)) {
 		t.Fatalf("AnonState differs: want %v got %v", want.AnonState, got.AnonState)
+	}
+}
+
+// TestDeriveKeysKnownAnswer pins the vault key material: every chunk
+// address, chunk nonce and manifest seal depends on these bits, while
+// the experiment goldens only see sizes and counts.
+func TestDeriveKeysKnownAnswer(t *testing.T) {
+	ks := deriveKeys("pw", "alice")
+	got := hex.EncodeToString(append(append([]byte(nil), ks.enc...), ks.mac...))
+	const want = "4bf7bdb0573a3b292f26fe8982ab57b657ad9f75c2fa890d0837aecd7d9e7644" +
+		"ad9eb0eae0ba72c8f7711fc971c879b68e2da2a4a3803e8bfa17cf91c55489c5"
+	if got != want {
+		t.Fatalf("deriveKeys(pw, alice) enc||mac = %s, want %s", got, want)
 	}
 }
 
