@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"nymix/internal/anonnet"
 	"nymix/internal/unionfs"
@@ -212,34 +213,37 @@ func decodeState(r io.Reader) (*State, error) {
 	return st, nil
 }
 
-// DeriveKey is PBKDF2-HMAC-SHA256 (RFC 2898). Implemented here because
-// the standard library does not ship PBKDF2.
+// DeriveKey is PBKDF2-HMAC-SHA256 (RFC 8018). It is implemented here
+// because go.mod and CI pin Go 1.22, and crypto/pbkdf2 arrived in 1.24.
+// One HMAC keyed with the password serves every iteration of every
+// block: Reset restores its saved inner and outer pad states, so an
+// iteration costs two SHA-256 compressions and no allocation.
 func DeriveKey(password, salt []byte, iterations, outLen int) []byte {
 	if iterations < 1 {
 		iterations = 1
 	}
-	var out []byte
-	var block uint32
-	for len(out) < outLen {
-		block++
-		mac := hmac.New(sha256.New, password)
-		mac.Write(salt)
-		var be [4]byte
-		binary.BigEndian.PutUint32(be[:], block)
-		mac.Write(be[:])
-		u := mac.Sum(nil)
-		acc := append([]byte(nil), u...)
+	prf := hmac.New(sha256.New, password)
+	hashLen := prf.Size()
+	blocks := (outLen + hashLen - 1) / hashLen
+	dk := make([]byte, 0, blocks*hashLen)
+	u := make([]byte, 0, hashLen)
+	for block := 1; block <= blocks; block++ {
+		prf.Reset()
+		prf.Write(salt)
+		prf.Write(binary.BigEndian.AppendUint32(u[:0], uint32(block)))
+		dk = prf.Sum(dk)
+		t := dk[len(dk)-hashLen:]
+		u = append(u[:0], t...)
 		for i := 1; i < iterations; i++ {
-			mac = hmac.New(sha256.New, password)
-			mac.Write(u)
-			u = mac.Sum(nil)
-			for j := range acc {
-				acc[j] ^= u[j]
+			prf.Reset()
+			prf.Write(u)
+			u = prf.Sum(u[:0])
+			for j := range t {
+				t[j] ^= u[j]
 			}
 		}
-		out = append(out, acc...)
 	}
-	return out[:outLen]
+	return dk[:outLen]
 }
 
 // GuardSeed derives the deterministic Tor guard seed of section 3.5:
@@ -264,13 +268,32 @@ func VirtualWireSize(size int64, entropy float64) int64 {
 	return int64(float64(size) * (compressionFloor + (1-compressionFloor)*entropy))
 }
 
+// gzipWriters recycles gzip writers, each holding about 1 MB of flate
+// compressor state, across every archive, estimate and manifest pass.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
+// GetGzipWriter returns a pooled gzip writer at the default level,
+// compressing into w. Reset restores a writer to exactly its
+// gzip.NewWriter state, header included, so its output is
+// byte-identical to a fresh writer's. Return it with PutGzipWriter.
+func GetGzipWriter(w io.Writer) *gzip.Writer {
+	zw := gzipWriters.Get().(*gzip.Writer)
+	zw.Reset(w)
+	return zw
+}
+
+// PutGzipWriter returns a writer from GetGzipWriter to the pool; the
+// caller must not use it afterwards.
+func PutGzipWriter(zw *gzip.Writer) { gzipWriters.Put(zw) }
+
 // compressedSizeModel prices an image's content post-compression: real
 // bytes are measured exactly (by gzipping them), virtual bytes via
 // VirtualWireSize.
 func compressedSizeModel(images ...unionfs.Image) int64 {
 	var virtual int64
 	var real bytes.Buffer
-	zw := gzip.NewWriter(&real)
+	zw := GetGzipWriter(&real)
+	defer PutGzipWriter(zw)
 	for _, img := range images {
 		// Walk files in sorted path order: gzip's output length depends
 		// on input order, and map iteration would make the same image
@@ -305,7 +328,8 @@ const (
 // for a value they never store.
 func EstimateArchiveWireSize(st *State) (int64, error) {
 	var plain bytes.Buffer
-	zw := gzip.NewWriter(&plain)
+	zw := GetGzipWriter(&plain)
+	defer PutGzipWriter(zw)
 	if err := encodeState(zw, st); err != nil {
 		return 0, fmt.Errorf("nymstate: encode: %w", err)
 	}
@@ -323,7 +347,8 @@ type RandSource interface{ Bytes(b []byte) }
 // Seal compresses and encrypts a nym state under the password.
 func Seal(st *State, password string, rnd RandSource) (*Archive, error) {
 	var plain bytes.Buffer
-	zw := gzip.NewWriter(&plain)
+	zw := GetGzipWriter(&plain)
+	defer PutGzipWriter(zw)
 	if err := encodeState(zw, st); err != nil {
 		return nil, fmt.Errorf("nymstate: encode: %w", err)
 	}

@@ -2,8 +2,13 @@ package nymstate
 
 import (
 	"bytes"
+	"compress/gzip"
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/hex"
 	"errors"
+	"io"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -255,4 +260,123 @@ func TestEstimateArchiveWireSizeMatchesSeal(t *testing.T) {
 	if diff > 256 {
 		t.Fatalf("estimate %d vs sealed wire size %d (|diff| %d > 256)", got, arch.WireSize, diff)
 	}
+}
+
+// TestDeriveKeyAllocsFlat guards the one-keyed-HMAC structure: the
+// allocation count must not grow with the iteration count.
+func TestDeriveKeyAllocsFlat(t *testing.T) {
+	pw, salt := []byte("correct horse"), []byte("nymix-vault-v1\x00alice")
+	one := testing.AllocsPerRun(5, func() { DeriveKey(pw, salt, 1, 64) })
+	full := testing.AllocsPerRun(5, func() { DeriveKey(pw, salt, KDFIterations, 64) })
+	if full > 16 {
+		t.Errorf("DeriveKey(%d iterations) made %.0f allocations, want <= 16", KDFIterations, full)
+	}
+	if one != full {
+		t.Errorf("allocations grow with iterations: %.0f at 1, %.0f at %d", one, full, KDFIterations)
+	}
+}
+
+var benchKey []byte
+
+func BenchmarkDeriveKey(b *testing.B) {
+	pw, salt := []byte("correct horse"), []byte("nymix-vault-v1\x00alice")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchKey = DeriveKey(pw, salt, KDFIterations, 64)
+	}
+}
+
+// dirtyGzipPool leaves a pooled writer mid-stream on unrelated content,
+// so the next GetGzipWriter may hand back a writer with history.
+func dirtyGzipPool() {
+	zw := GetGzipWriter(io.Discard)
+	zw.Write(bytes.Repeat([]byte("unrelated history "), 4096))
+	PutGzipWriter(zw)
+}
+
+// checkPooledGzipMatchesFresh compares Seal and EstimateArchiveWireSize,
+// run after dirtying the writer pool, with the same compression done by
+// fresh gzip.NewWriter writers. It reports with t.Error so parallel
+// goroutines may call it.
+func checkPooledGzipMatchesFresh(t *testing.T, seed uint64) {
+	st := sampleState()
+	var plain, model bytes.Buffer
+	zw := gzip.NewWriter(&plain)
+	if err := encodeState(zw, st); err != nil {
+		t.Error(err)
+		return
+	}
+	zw.Close()
+	zw = gzip.NewWriter(&model)
+	var virtual int64
+	for _, img := range []unionfs.Image{st.AnonDisk, st.CommDisk} {
+		for _, path := range sortedPaths(img.Files) {
+			f := img.Files[path]
+			if !f.Real {
+				virtual += VirtualWireSize(f.VirtualSize, f.Entropy)
+				continue
+			}
+			zw.Write([]byte(path))
+			zw.Write(f.Data)
+		}
+	}
+	zw.Close()
+	wantModel := virtual + int64(model.Len())
+
+	dirtyGzipPool()
+	if got := compressedSizeModel(st.AnonDisk, st.CommDisk); got != wantModel {
+		t.Errorf("seed %d: compressedSizeModel = %d, fresh writer gives %d", seed, got, wantModel)
+	}
+	dirtyGzipPool()
+	est, err := EstimateArchiveWireSize(st)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	if want := wantModel + int64(plain.Len()) + gcmTagLen + saltLen + gcmNonceLen; est != want {
+		t.Errorf("seed %d: EstimateArchiveWireSize = %d, fresh writer gives %d", seed, est, want)
+	}
+
+	dirtyGzipPool()
+	a, err := Seal(st, "pw", sim.NewRand(seed))
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	salt, nonce := make([]byte, saltLen), make([]byte, gcmNonceLen)
+	rnd := sim.NewRand(seed)
+	rnd.Bytes(salt)
+	rnd.Bytes(nonce)
+	block, err := aes.NewCipher(DeriveKey([]byte("pw"), salt, KDFIterations, keyLen))
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	want := gcm.Seal(nil, nonce, plain.Bytes(), []byte(st.Name))
+	if !bytes.Equal(a.Salt, salt) || !bytes.Equal(a.Nonce, nonce) || !bytes.Equal(a.Ciphertext, want) {
+		t.Errorf("seed %d: Seal ciphertext differs from a fresh writer's", seed)
+	}
+	if wantWire := wantModel + int64(len(want)+saltLen+gcmNonceLen); a.WireSize != wantWire {
+		t.Errorf("seed %d: Seal WireSize = %d, fresh writer gives %d", seed, a.WireSize, wantWire)
+	}
+}
+
+// TestPooledGzipMatchesFreshWriter pins that pooled writers change no
+// output byte, alone and from parallel goroutines sharing the pool.
+func TestPooledGzipMatchesFreshWriter(t *testing.T) {
+	checkPooledGzipMatchesFresh(t, 1)
+	var wg sync.WaitGroup
+	for g := uint64(2); g < 6; g++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			checkPooledGzipMatchesFresh(t, seed)
+		}(g)
+	}
+	wg.Wait()
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"sort"
 	"strings"
@@ -104,14 +105,33 @@ type Manifest struct {
 
 // keys is the per-nym vault key material derived from the password:
 // one key for sealing chunks and the manifest, one for addressing.
+// Every address and chunk nonce is an HMAC under mac; prf is that one
+// keyed HMAC, Reset per digest, and buf its reusable input and output
+// scratch. A keys value serves one Save, Load or manifest open on one
+// goroutine.
 type keys struct {
 	enc []byte
 	mac []byte
+	prf hash.Hash
+	buf []byte
 }
 
-func deriveKeys(password, name string) keys {
+func deriveKeys(password, name string) *keys {
 	raw := nymstate.DeriveKey([]byte(password), []byte("nymix-vault-v1\x00"+name), nymstate.KDFIterations, 64)
-	return keys{enc: raw[:32], mac: raw[32:]}
+	mac := raw[32:]
+	return &keys{enc: raw[:32], mac: mac, prf: hmac.New(sha256.New, mac)}
+}
+
+// digest returns HMAC(mac, buf || tail). The digest overwrites buf and
+// the result aliases it until the next call. HMAC input is a byte
+// stream, so building the message in buf hashes the same bytes as
+// writing its parts one by one.
+func (ks *keys) digest(tail []byte) []byte {
+	ks.prf.Reset()
+	ks.prf.Write(ks.buf)
+	ks.prf.Write(tail)
+	ks.buf = ks.prf.Sum(ks.buf[:0])
+	return ks.buf
 }
 
 // chunkSealOverhead is the stored per-chunk overhead: the 16-byte GCM
@@ -119,13 +139,9 @@ func deriveKeys(password, name string) keys {
 const chunkSealOverhead = 16
 
 // realAddr addresses a real chunk by its bytes.
-func (ks keys) realAddr(data []byte) Addr {
-	mac := hmac.New(sha256.New, ks.mac)
-	mac.Write([]byte("real\x00"))
-	mac.Write(data)
-	var a Addr
-	copy(a[:], mac.Sum(nil))
-	return a
+func (ks *keys) realAddr(data []byte) Addr {
+	ks.buf = append(ks.buf[:0], "real\x00"...)
+	return Addr(ks.digest(data))
 }
 
 // virtAddr addresses a virtual segment by (disk, path, segment index,
@@ -136,32 +152,27 @@ func (ks keys) realAddr(data []byte) Addr {
 // addresses stable, so the vault does too. Entropy still restores
 // exactly (it rides in the sealed manifest's FileEntry) and prices the
 // segment's wire size; only the dedup identity ignores it.
-func (ks keys) virtAddr(disk int, path string, seg int, size int64) Addr {
-	mac := hmac.New(sha256.New, ks.mac)
-	mac.Write([]byte("virt\x00"))
-	mac.Write([]byte{byte(disk)})
-	mac.Write([]byte(path))
-	var meta [16]byte
-	binary.BigEndian.PutUint64(meta[0:8], uint64(seg))
-	binary.BigEndian.PutUint64(meta[8:16], uint64(size))
-	mac.Write(meta[:])
-	var a Addr
-	copy(a[:], mac.Sum(nil))
-	return a
+func (ks *keys) virtAddr(disk int, path string, seg int, size int64) Addr {
+	b := append(ks.buf[:0], "virt\x00"...)
+	b = append(b, byte(disk))
+	b = append(b, path...)
+	b = binary.BigEndian.AppendUint64(b, uint64(seg))
+	ks.buf = binary.BigEndian.AppendUint64(b, uint64(size))
+	return Addr(ks.digest(nil))
 }
 
 // sealChunk encrypts a real chunk convergently: AES-256-GCM with the
 // nonce derived from the address, so identical content always yields
 // an identical blob. The AEAD is hoisted by the caller (one per
 // Save/Load, not one per chunk).
-func (ks keys) sealChunk(gcm cipher.AEAD, addr Addr, data []byte) []byte {
+func (ks *keys) sealChunk(gcm cipher.AEAD, addr Addr, data []byte) []byte {
 	return gcm.Seal(nil, ks.chunkNonce(addr, gcm.NonceSize()), data, addr[:])
 }
 
 // openChunk decrypts and authenticates a real chunk blob. Because the
 // manifest already authenticated under the password, a failure here is
 // tamper evidence, reported as merkle.ErrTampered.
-func (ks keys) openChunk(gcm cipher.AEAD, addr Addr, blob []byte) ([]byte, error) {
+func (ks *keys) openChunk(gcm cipher.AEAD, addr Addr, blob []byte) ([]byte, error) {
 	plain, err := gcm.Open(nil, ks.chunkNonce(addr, gcm.NonceSize()), blob, addr[:])
 	if err != nil {
 		return nil, nymerr.Wrapf(CodeTampered, merkle.ErrTampered, "chunk %s", addr)
@@ -169,7 +180,7 @@ func (ks keys) openChunk(gcm cipher.AEAD, addr Addr, blob []byte) ([]byte, error
 	return plain, nil
 }
 
-func (ks keys) aead() (cipher.AEAD, error) {
+func (ks *keys) aead() (cipher.AEAD, error) {
 	block, err := aes.NewCipher(ks.enc)
 	if err != nil {
 		return nil, err
@@ -177,11 +188,11 @@ func (ks keys) aead() (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-func (ks keys) chunkNonce(addr Addr, n int) []byte {
-	mac := hmac.New(sha256.New, ks.mac)
-	mac.Write([]byte("nonce\x00"))
-	mac.Write(addr[:])
-	return mac.Sum(nil)[:n]
+// chunkNonce derives a chunk's GCM nonce from its address. The result
+// aliases ks.buf: use it before the next call on ks.
+func (ks *keys) chunkNonce(addr Addr, n int) []byte {
+	ks.buf = append(append(ks.buf[:0], "nonce\x00"...), addr[:]...)
+	return ks.digest(nil)[:n]
 }
 
 // Index is the per-nym local cache of which chunk addresses each
@@ -320,7 +331,7 @@ type chunked struct {
 // chunkState cuts both disk images into chunks, deduplicating within
 // the state. Files are walked in sorted path order so the manifest is
 // deterministic for identical content.
-func chunkState(st *nymstate.State, ks keys) chunked {
+func chunkState(st *nymstate.State, ks *keys) chunked {
 	c := chunked{data: make(map[Addr][]byte)}
 	seen := make(map[Addr]int)
 	// mk builds the ChunkRef lazily: a duplicate occurrence (the same
@@ -404,7 +415,8 @@ func (v *Store) priceChunks(c *chunked, sessions []*cloud.Session) {
 // gzipLen measures a chunk's compressed size exactly.
 func gzipLen(data []byte) int64 {
 	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
+	zw := nymstate.GetGzipWriter(&buf)
+	defer nymstate.PutGzipWriter(zw)
 	zw.Write(data)
 	zw.Close()
 	return int64(buf.Len())
@@ -712,7 +724,7 @@ func (v *Store) Load(p *sim.Proc, password string, sessions []*cloud.Session) (*
 // list itself generates would verify nothing — proofs only earn
 // their keep if a future partial-restore path fetches a chunk list
 // subset from an untrusted intermediary.
-func verifyChunk(ks keys, gcm cipher.AEAD, r ChunkRef, blob cloud.Blob, plain map[Addr][]byte) error {
+func verifyChunk(ks *keys, gcm cipher.AEAD, r ChunkRef, blob cloud.Blob, plain map[Addr][]byte) error {
 	if r.Virtual {
 		return nil // no bytes exist; identity is the manifest entry itself
 	}
@@ -855,19 +867,25 @@ type manifestWire struct {
 	Root          merkle.Hash
 }
 
-// sealManifest serializes, compresses, and seals a manifest. The blob
-// layout is nonce || ciphertext; the AAD binds the nym name so a
-// manifest cannot be replayed under another nym.
-func sealManifest(man *Manifest, ks keys, rnd nymstate.RandSource) (cloud.Blob, error) {
-	wireForm := manifestWire{
+// wire flattens the manifest to its gob form.
+func (man *Manifest) wire() manifestWire {
+	return manifestWire{
 		Name: man.Name, Model: man.Model, Cycles: man.Cycles, Seq: man.Seq,
 		AnonDiskName: man.AnonDiskName, CommDiskName: man.CommDiskName,
 		AnonWhiteouts: man.AnonWhiteouts, CommWhiteouts: man.CommWhiteouts,
 		AnonState: nymstate.FlattenStateMap(man.AnonState),
 		Files:     man.Files, Chunks: man.Chunks, Root: man.Root,
 	}
+}
+
+// sealManifest serializes, compresses, and seals a manifest. The blob
+// layout is nonce || ciphertext; the AAD binds the nym name so a
+// manifest cannot be replayed under another nym.
+func sealManifest(man *Manifest, ks *keys, rnd nymstate.RandSource) (cloud.Blob, error) {
+	wireForm := man.wire()
 	var plainBuf bytes.Buffer
-	zw := gzip.NewWriter(&plainBuf)
+	zw := nymstate.GetGzipWriter(&plainBuf)
+	defer nymstate.PutGzipWriter(zw)
 	if err := gob.NewEncoder(zw).Encode(&wireForm); err != nil {
 		return cloud.Blob{}, fmt.Errorf("vault: encode manifest: %w", err)
 	}

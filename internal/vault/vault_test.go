@@ -2,10 +2,18 @@ package vault
 
 import (
 	"bytes"
+	"compress/gzip"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/gob"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,7 +38,7 @@ type rig struct {
 	relay     *incognito.Relay
 }
 
-func newRig(t *testing.T, quota int64) *rig {
+func newRig(t testing.TB, quota int64) *rig {
 	t.Helper()
 	eng := sim.NewEngine(71)
 	net, world := webworld.BuildDefault(eng)
@@ -51,7 +59,7 @@ func newRig(t *testing.T, quota int64) *rig {
 
 // run executes fn as a sim process and drains the engine, with the
 // relay started and sessions to n providers opened.
-func (r *rig) run(t *testing.T, n int, fn func(p *sim.Proc, sessions []*cloud.Session)) {
+func (r *rig) run(t testing.TB, n int, fn func(p *sim.Proc, sessions []*cloud.Session)) {
 	t.Helper()
 	r.eng.Go("test", func(p *sim.Proc) {
 		r.relay.Start(p)
@@ -136,6 +144,156 @@ func TestDeriveKeysKnownAnswer(t *testing.T) {
 	if got != want {
 		t.Fatalf("deriveKeys(pw, alice) enc||mac = %s, want %s", got, want)
 	}
+}
+
+// TestKeyedDigestsReuseOneHMAC checks realAddr, virtAddr and
+// chunkNonce against a fresh HMAC per digest, interleaved so the shared
+// scratch buffer is exercised, and guards that none builds an HMAC per
+// call.
+func TestKeyedDigestsReuseOneHMAC(t *testing.T) {
+	ks := deriveKeys("pw", "alice")
+	fresh := func(parts ...[]byte) []byte {
+		mac := hmac.New(sha256.New, ks.mac)
+		for _, p := range parts {
+			mac.Write(p)
+		}
+		return mac.Sum(nil)
+	}
+	data := patternBytes(3, 8<<10)
+	const path = "/var/lib/anonymizer/cached-consensus"
+	var meta [16]byte
+	binary.BigEndian.PutUint64(meta[0:8], 7)
+	binary.BigEndian.PutUint64(meta[8:16], 256<<10)
+	for i := 0; i < 2; i++ {
+		ra := ks.realAddr(data)
+		virt := ks.virtAddr(1, path, 7, 256<<10)
+		nonce := ks.chunkNonce(ra, 12)
+		if !bytes.Equal(ra[:], fresh([]byte("real\x00"), data)) {
+			t.Fatalf("realAddr = %x, want a fresh HMAC's", ra)
+		}
+		if !bytes.Equal(virt[:], fresh([]byte("virt\x00"), []byte{1}, []byte(path), meta[:])) {
+			t.Fatalf("virtAddr = %x, want a fresh HMAC's", virt)
+		}
+		if !bytes.Equal(nonce, fresh([]byte("nonce\x00"), ra[:])[:12]) {
+			t.Fatalf("chunkNonce = %x, want a fresh HMAC's", nonce)
+		}
+	}
+
+	var a Addr
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"realAddr", func() { a = ks.realAddr(data) }},
+		{"virtAddr", func() { a = ks.virtAddr(1, path, 7, 256<<10) }},
+		{"chunkNonce", func() { ks.chunkNonce(a, 12) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.fn); n > 1 {
+			t.Errorf("%s made %.0f allocations per call, want <= 1", tc.name, n)
+		}
+	}
+}
+
+// dirtyGzipPool leaves a pooled writer mid-stream on unrelated content,
+// so the next nymstate.GetGzipWriter may hand back a writer with
+// history.
+func dirtyGzipPool() {
+	zw := nymstate.GetGzipWriter(io.Discard)
+	zw.Write(bytes.Repeat([]byte("unrelated history "), 4096))
+	nymstate.PutGzipWriter(zw)
+}
+
+// checkPooledGzipMatchesFresh compares gzipLen and sealManifest, run
+// after dirtying the writer pool, with the same compression done by
+// fresh gzip.NewWriter writers. It reports with t.Error so parallel
+// goroutines may call it; each call seals under its own engine's RNG.
+func checkPooledGzipMatchesFresh(t *testing.T, seed uint64) {
+	// Half random, half repetitive, so the match finder has history to
+	// get wrong.
+	data := append(patternBytes(seed, 20<<10), bytes.Repeat([]byte(fmt.Sprintf("cookie-%d=abc; ", seed)), 1500)...)
+	var ref bytes.Buffer
+	zw := gzip.NewWriter(&ref)
+	zw.Write(data)
+	zw.Close()
+	dirtyGzipPool()
+	if got := gzipLen(data); got != int64(ref.Len()) {
+		t.Errorf("seed %d: gzipLen = %d, fresh writer gives %d", seed, got, ref.Len())
+	}
+
+	st := testState("alice")
+	ks := deriveKeys("pw", st.Name)
+	c := chunkState(st, ks)
+	man := &Manifest{
+		Name: st.Name, Model: st.Model, Cycles: st.Cycles, Seq: int(seed),
+		AnonDiskName: st.AnonDisk.Name, CommDiskName: st.CommDisk.Name,
+		AnonWhiteouts: st.AnonDisk.Whiteouts, AnonState: st.AnonState,
+		Files: c.files, Chunks: c.refs,
+	}
+	dirtyGzipPool()
+	blob, err := sealManifest(man, ks, sim.NewEngine(seed).Rand())
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	var plain bytes.Buffer
+	zw = gzip.NewWriter(&plain)
+	wireForm := man.wire()
+	if err := gob.NewEncoder(zw).Encode(&wireForm); err != nil {
+		t.Error(err)
+		return
+	}
+	zw.Close()
+	gcm, err := ks.aead()
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	nonce := make([]byte, gcm.NonceSize())
+	sim.NewEngine(seed).Rand().Bytes(nonce)
+	want := gcm.Seal(nonce, nonce, plain.Bytes(), []byte("manifest\x00"+man.Name))
+	if !bytes.Equal(blob.Data, want) || blob.WireSize != int64(len(want)) {
+		t.Errorf("seed %d: sealed manifest (%d bytes) differs from a fresh writer's (%d bytes)", seed, blob.WireSize, len(want))
+	}
+}
+
+// TestPooledGzipMatchesFreshWriter pins that pooled writers change no
+// output byte, alone and from parallel goroutines sharing the pool.
+func TestPooledGzipMatchesFreshWriter(t *testing.T) {
+	checkPooledGzipMatchesFresh(t, 1)
+	var wg sync.WaitGroup
+	for g := uint64(2); g < 6; g++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			checkPooledGzipMatchesFresh(t, seed)
+		}(g)
+	}
+	wg.Wait()
+}
+
+// BenchmarkVaultDeltaSave times the steady-state save: a warm index and
+// one changed real file per save.
+func BenchmarkVaultDeltaSave(b *testing.B) {
+	r := newRig(b, 0)
+	st := testState("alice")
+	vs := NewStore("alice", Replicate, nil)
+	r.run(b, 1, func(p *sim.Proc, sessions []*cloud.Session) {
+		if _, err := vs.Save(p, st, "pw", sessions, r.eng.Rand()); err != nil {
+			b.Errorf("warm save: %v", err)
+			return
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st.AnonDisk.Files["/home/user/.mozilla/cookies"] = unionfs.FileImage{Real: true, Data: []byte(fmt.Sprintf("twitter=%d; gmail=def", i))}
+			st.Cycles++
+			if _, err := vs.Save(p, st, "pw", sessions, r.eng.Rand()); err != nil {
+				b.Errorf("save %d: %v", i, err)
+				return
+			}
+		}
+		b.StopTimer()
+	})
 }
 
 func TestCutRealCoversInputExactly(t *testing.T) {
