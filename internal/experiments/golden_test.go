@@ -63,3 +63,23 @@ func TestGoldenPartition(t *testing.T) {
 	}
 	checkGolden(t, "partition.json", res)
 }
+
+// TestGoldenExperiments pins the experiments no other test runs at
+// their default size: the NymVault incremental-save table, the DPI
+// censorship run, and the five-backend anonymity-vs-cost frontier.
+func TestGoldenExperiments(t *testing.T) {
+	runs := map[string]func(uint64) (any, error){
+		"vault":      func(s uint64) (any, error) { return VaultIncremental(s) },
+		"censorship": func(s uint64) (any, error) { return CensorshipDPI(s) },
+		"mixnet":     func(s uint64) (any, error) { return MixnetFrontier(s) },
+	}
+	for _, name := range []string{"vault", "censorship", "mixnet"} {
+		t.Run(name, func(t *testing.T) {
+			res, err := runs[name](1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, name+".json", res)
+		})
+	}
+}
