@@ -1,10 +1,10 @@
 package nymix
 
-// One testing.B benchmark per evaluation result (Figures 3-7, Table 1,
-// the section 5.1 validation, and the ablations). Each iteration
-// regenerates the full experiment from a fresh seed; custom metrics
-// report the experiment's headline numbers so `go test -bench` output
-// doubles as a results table.
+// One testing.B sub-benchmark per registered experiment (Figures 3-7,
+// Table 1, the section 5.1 validation, the ablations and the scale-out
+// runs), at each experiment's default size. Each iteration regenerates
+// the full experiment from a fresh seed; nymbench prints the same
+// results and its -json flag records them.
 
 import (
 	"testing"
@@ -12,251 +12,14 @@ import (
 	"nymix/internal/experiments"
 )
 
-func BenchmarkFigure3(b *testing.B) {
-	var slope, saving float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure3(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		slope = (rows[7].UsedAfterMB - rows[0].UsedAfterMB) / 7
-		saving = rows[7].SavedMB
-	}
-	b.ReportMetric(slope, "MB/nymbox")
-	b.ReportMetric(saving, "MB-ksm-saved@8")
-}
-
-func BenchmarkFigure4(b *testing.B) {
-	var overhead, smtGain float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure4(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		overhead = 100 * (1 - rows[1].Accumulated/rows[0].Accumulated)
-		smtGain = 100 * (rows[8].Accumulated/rows[8].Expected - 1)
-	}
-	b.ReportMetric(overhead, "%virt-overhead")
-	b.ReportMetric(smtGain, "%smt-gain@8")
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	var single, eight, torOverhead float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure5(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		single = rows[0].ActualSec
-		eight = rows[7].ActualSec
-		torOverhead = 100 * experiments.TorFixedOverhead(rows)
-	}
-	b.ReportMetric(single, "s-download@1")
-	b.ReportMetric(eight, "s-download@8")
-	b.ReportMetric(torOverhead, "%tor-overhead")
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	var fbFinal, anonShare float64
-	for i := 0; i < b.N; i++ {
-		series, err := experiments.Figure6(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range series {
-			if s.Site == "facebook.com" {
-				fbFinal = s.SizesMB[len(s.SizesMB)-1]
-				anonShare = 100 * s.AnonShare
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := e.Run(uint64(i+1), experiments.Size{}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
+		})
 	}
-	b.ReportMetric(fbFinal, "MB-facebook@10")
-	b.ReportMetric(anonShare, "%anonvm-share")
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	var fresh, preTor float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure7(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			switch r.Config {
-			case "fresh":
-				fresh = r.Total().Seconds()
-			case "pre-configured":
-				preTor = r.StartTor.Seconds()
-			}
-		}
-	}
-	b.ReportMetric(fresh, "s-fresh-total")
-	b.ReportMetric(preTor, "s-warm-tor-start")
-}
-
-func BenchmarkTable1(b *testing.B) {
-	var vistaRepair, win8Size float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			switch r.Version {
-			case "Windows Vista":
-				vistaRepair = r.RepairS
-			case "Windows 8":
-				win8Size = r.SizeMB
-			}
-		}
-	}
-	b.ReportMetric(vistaRepair, "s-vista-repair")
-	b.ReportMetric(win8Size, "MB-win8-cow")
-}
-
-func BenchmarkValidation(b *testing.B) {
-	passed := 0.0
-	for i := 0; i < b.N; i++ {
-		report, err := experiments.Validation(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if report.Passed() {
-			passed = 1
-		} else {
-			passed = 0
-		}
-	}
-	b.ReportMetric(passed, "passed")
-}
-
-func BenchmarkAblationGuardExposure(b *testing.B) {
-	var rot30 float64
-	for i := 0; i < b.N; i++ {
-		rows := experiments.AblationGuardExposure(uint64(i+1), 0.05)
-		for _, r := range rows {
-			if r.Sessions == 30 {
-				rot30 = r.Rotating
-			}
-		}
-	}
-	b.ReportMetric(rot30, "p-exposed@30-sessions")
-}
-
-func BenchmarkAblationStaining(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationStaining(uint64(i + 1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationLinkage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationLinkage(uint64(i + 1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkVaultIncremental(b *testing.B) {
-	var steady, cycle2Up, cycle2Full float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.VaultIncremental(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		steady = 100 * experiments.VaultSteadyStateFrac(rows)
-		cycle2Up = rows[1].UploadedMB
-		cycle2Full = rows[1].MonolithicMB
-	}
-	b.ReportMetric(cycle2Up, "MB-upload@cycle2")
-	b.ReportMetric(cycle2Full, "MB-monolithic@cycle2")
-	b.ReportMetric(steady, "%wire-vs-monolithic")
-}
-
-func BenchmarkAblationBuddies(b *testing.B) {
-	var gatedFinal float64
-	for i := 0; i < b.N; i++ {
-		rows := experiments.AblationBuddies(uint64(i+1), 4, 12)
-		gatedFinal = float64(rows[len(rows)-1].GatedCandidates)
-	}
-	b.ReportMetric(gatedFinal, "gated-set@12-rounds")
-}
-
-func BenchmarkFleetShards(b *testing.B) {
-	var ramp, migrations, wireMB float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.FleetShards(uint64(i+1), 0, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ramp = rows[0].TimeToRunning.Seconds() // least-reserved over 4 hosts
-		migrations = float64(rows[1].Migrations)
-		wireMB = rows[1].MigrationWireMB
-	}
-	b.ReportMetric(ramp, "s-to-running@1024x4")
-	b.ReportMetric(migrations, "rebalance-migrations")
-	b.ReportMetric(wireMB, "MB-cross-host-wire")
-}
-
-func BenchmarkElastic(b *testing.B) {
-	var grows, drainMoves, stalledFixed, p95SysAdmit float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Elastic(uint64(i+1), 0, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		grows = float64(res.GrowEvents)
-		drainMoves = float64(res.DrainMoves)
-		stalledFixed = float64(res.FixedStalled)
-		for _, r := range res.Rows {
-			if r.Mode == "elastic" && r.Class == "system" {
-				p95SysAdmit = r.P95.Seconds()
-			}
-		}
-		if res.LeakedBytes != 0 {
-			b.Fatalf("drain leaked %d reservation bytes", res.LeakedBytes)
-		}
-	}
-	b.ReportMetric(grows, "hosts-grown")
-	b.ReportMetric(drainMoves, "drain-migrations")
-	b.ReportMetric(stalledFixed, "stalled-on-fixed-pool")
-	b.ReportMetric(p95SysAdmit, "s-p95-system-admit")
-}
-
-func BenchmarkSweeps(b *testing.B) {
-	var wireFrac, skipRatio, p95 float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.SweepSteadyState(uint64(i+1), 0, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		wireFrac = 100 * res.WireFrac
-		skipRatio = res.Scheduled.DirtySkipRatio
-		p95 = res.Scheduled.LatencyP95.Seconds()
-		if res.WireFrac > 0.25 {
-			b.Fatalf("scheduled sweeps shipped %.1f%% of the naive wire; want <= 25%%", 100*res.WireFrac)
-		}
-	}
-	b.ReportMetric(wireFrac, "%wire-vs-naive")
-	b.ReportMetric(skipRatio, "dirty-skip-ratio")
-	b.ReportMetric(p95, "s-p95-sweep")
-}
-
-func BenchmarkFleetRampUp(b *testing.B) {
-	var ramp256, steady256, peakRAM float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.FleetRampUp(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1]
-		ramp256 = last.TimeToRunning.Seconds()
-		steady256 = last.SteadySaveMB
-		peakRAM = last.PeakRAMGiB
-	}
-	b.ReportMetric(ramp256, "s-to-running@256")
-	b.ReportMetric(steady256, "MB-steady-save@256")
-	b.ReportMetric(peakRAM, "GiB-peakRAM@256")
 }

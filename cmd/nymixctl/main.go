@@ -44,49 +44,39 @@ func main() {
 	nyms := flag.Int("nyms", 24, "fleet size for the fleet, cluster, elastic, sweeps and status commands")
 	flag.Parse()
 
-	switch flag.Arg(0) {
-	case "demo", "":
-		if err := demo(*seed, *anonymizer); err != nil {
-			fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
-			os.Exit(1)
-		}
-	case "fleet":
-		if err := fleetDemo(*seed, *nyms); err != nil {
-			fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
-			os.Exit(1)
-		}
-	case "cluster":
-		if err := clusterDemo(*seed, *nyms); err != nil {
-			fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
-			os.Exit(1)
-		}
-	case "elastic":
-		if err := elasticDemo(*seed, *nyms); err != nil {
-			fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
-			os.Exit(1)
-		}
-	case "sweeps":
-		if err := sweepsDemo(*seed, *nyms); err != nil {
-			fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
-			os.Exit(1)
-		}
-	case "status":
-		if err := statusDemo(*seed, *nyms); err != nil {
-			fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
-			os.Exit(1)
-		}
-	case "scrub":
-		if flag.NArg() < 2 {
-			fmt.Fprintln(os.Stderr, "nymixctl scrub: need a file path")
-			os.Exit(2)
-		}
-		if err := scrubFile(flag.Arg(1)); err != nil {
-			fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
-			os.Exit(1)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "nymixctl: unknown command %q\n", flag.Arg(0))
+	cmd := flag.Arg(0)
+	if cmd == "" {
+		cmd = "demo"
+	}
+	commands := map[string]func() error{
+		"demo":    func() error { return demo(*seed, *anonymizer) },
+		"fleet":   func() error { return fleetDemo(*seed, *nyms) },
+		"cluster": func() error { return clusterDemo(*seed, *nyms) },
+		"elastic": func() error { return elasticDemo(*seed, *nyms) },
+		"sweeps":  func() error { return sweepsDemo(*seed, *nyms) },
+		"status":  func() error { return statusDemo(*seed, *nyms) },
+		"scrub":   func() error { return scrubFile(flag.Arg(1)) },
+	}
+	run, ok := commands[cmd]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "nymixctl: unknown command %q\n", cmd)
 		os.Exit(2)
+	}
+	if cmd == "scrub" && flag.NArg() < 2 {
+		fmt.Fprintln(os.Stderr, "nymixctl scrub: need a file path")
+		os.Exit(2)
+	}
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// narrator returns the printf every scripted command narrates with:
+// each line is stamped with the current simulated time.
+func narrator(eng *sim.Engine) func(format string, args ...any) {
+	return func(format string, args ...any) {
+		fmt.Printf("[t=%8.1fs] "+format+"\n", append([]any{eng.Now().Seconds()}, args...)...)
 	}
 }
 
@@ -124,30 +114,24 @@ func demo(seed uint64, anonymizer string) error {
 	if err != nil {
 		return err
 	}
-	say := func(format string, args ...interface{}) {
-		fmt.Printf("[t=%8.1fs] "+format+"\n", append([]interface{}{eng.Now().Seconds()}, args...)...)
-	}
-	var demoErr error
-	eng.Go("demo", func(p *sim.Proc) {
+	say := narrator(eng)
+	return eng.RunProc("demo", func(p *sim.Proc) error {
 		dest := core.StoreDest{Provider: "dropbin", Account: "anon-9134", AccountPassword: "cloud-pw"}
 
 		say("nymix booted; starting a fresh %s nym", anonymizer)
 		nym, err := mgr.StartNym(p, "demo", core.Options{Model: core.ModelPersistent, Anonymizer: anonymizer})
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		ph := nym.Phases()
 		say("nymbox up: boot %.1fs, %s start %.1fs", ph.BootVM.Seconds(), anonymizer, ph.StartAnon.Seconds())
 
 		if _, err := nym.Browser().Login(p, "twitter.com", "pseudonym-47", "tw-pw"); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("logged in to twitter.com as pseudonym-47 (exit identity: %s)", nym.Anonymizer().ExitIdentity())
 		if _, err := nym.Browser().Post(p, "twitter.com", "hello from a nymbox"); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("posted; server-side cookie bound to this nym only")
 		if cov, ok := nym.Anonymizer().(interface {
@@ -167,43 +151,36 @@ func demo(seed uint64, anonymizer string) error {
 			"/users/me/photos/protest.jpg": photo,
 		})
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		report, err := mgr.TransferFile(p, installed, "/users/me/photos/protest.jpg", nym, sanitize.AllOptions)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("SaniVM transfer: %d risk(s) found, applied %v, residual %d",
 			len(report.RisksFound), report.Applied, len(report.Residual))
 		if _, err := nym.Browser().Upload(p, "twitter.com", []byte("scrubbed")); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("uploaded the scrubbed photo")
 
 		size, err := mgr.StoreNym(p, nym, "nym-password", dest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("nym stored to %s: %.1f MB encrypted", dest.Provider, float64(size)/(1<<20))
 		if err := mgr.TerminateNym(p, nym); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("nym terminated: memory wiped, host holds %d nyms", mgr.RunningNyms())
 
 		restored, err := mgr.LoadNym(p, "demo", "nym-password", core.Options{Model: core.ModelPersistent, Anonymizer: anonymizer}, dest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("nym restored from the cloud (ephemeral loader took %.1fs)", restored.Phases().EphemeralNym.Seconds())
 		if _, err := restored.Browser().LoginSaved(p, "twitter.com"); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("signed back in with stored credentials — no retyping, no habit to slip on")
 
@@ -213,41 +190,34 @@ func demo(seed uint64, anonymizer string) error {
 		vdest := core.VaultDest{Providers: []string{"dropbin", "gdrive"}, Account: "anon-9134", AccountPassword: "cloud-pw"}
 		stats, err := mgr.StoreNymVault(p, restored, "nym-password", vdest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("NymVault checkpoint: %d chunks, %.1f MB uploaded, replicated to %d providers",
 			stats.TotalChunks, float64(stats.UploadedBytes)/(1<<20), len(vdest.Providers))
 		if _, err := restored.Visit(p, "twitter.com"); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		stats, err = mgr.StoreNymVault(p, restored, "nym-password", vdest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("NymVault delta save after browsing: %d chunk uploads across the replicas (set of %d), %.2f MB uploaded (%.0f%% dedup; monolithic re-upload would be %.1f MB)",
 			stats.NewChunks, stats.TotalChunks, float64(stats.UploadedBytes)/(1<<20),
 			100*stats.DedupFrac(), float64(stats.BaselineWireBytes)/(1<<20))
 		if err := mgr.TerminateNym(p, restored); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		final, err := mgr.LoadNymVault(p, "demo", "nym-password", core.Options{Model: core.ModelPersistent, Anonymizer: anonymizer}, vdest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("nym restored from the vault, every chunk authenticated against the sealed manifest")
 		if err := mgr.TerminateNym(p, final); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("session over; local media carries no nym state")
+		return nil
 	})
-	eng.Run()
-	return demoErr
 }
 
 // clusterDemo shards a fleet over two simulated hosts, then walks the
@@ -264,21 +234,16 @@ func clusterDemo(seed uint64, n int) error {
 	if err != nil {
 		return err
 	}
-	say := func(format string, args ...interface{}) {
-		fmt.Printf("[t=%8.1fs] "+format+"\n", append([]interface{}{eng.Now().Seconds()}, args...)...)
-	}
-	var demoErr error
-	eng.Go("cluster-demo", func(p *sim.Proc) {
+	say := narrator(eng)
+	return eng.RunProc("cluster-demo", func(p *sim.Proc) error {
 		hosts := c.Hosts()
 		say("cluster up: %d hosts, %.1f GiB admissible each", len(hosts),
 			float64(hosts[0].Fleet().RAMBudgetBytes())/(1<<30))
 		if err := c.LaunchAll(experiments.FleetSpecs(n)); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		if err := c.AwaitRunning(p, n); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		st := c.Snapshot()
 		say("%d nyms running, placed %v by %s", st.Running, st.PerHostRunning, "least-reserved")
@@ -302,15 +267,13 @@ func clusterDemo(seed uint64, n int) error {
 			dst = hosts[1]
 		}
 		if _, err := c.Member(name).Nym().Browser().Login(p, "twitter.com", "roamer", "pw"); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("%s (on %s) logged in to twitter.com as roamer", name, src.Name())
 
 		rep, err := c.MigrateNym(p, name, dst.Name())
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("migrated %s: %s -> %s via the vault (%.1f MB cross-host wire)",
 			name, rep.From, rep.To, float64(rep.WireBytes)/(1<<20))
@@ -319,8 +282,7 @@ func clusterDemo(seed uint64, n int) error {
 			float64(src.Fleet().ReservedBytes())/(1<<30), dst.Name(), dst.Fleet().Running())
 		m := c.Member(name)
 		if _, err := m.Nym().Visit(p, "twitter.com"); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		visits := world.Site("twitter.com").Visits()
 		say("twitter sees cookie %q from the new host — same pseudonym, different machine",
@@ -329,14 +291,12 @@ func clusterDemo(seed uint64, n int) error {
 			say("stored credentials (%s) crossed hosts inside the sealed checkpoint", cred.Account)
 		}
 		if err := c.StopAll(p); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("cluster drained; %d migration(s) total, %.1f MB cross-host wire",
 			c.Migrations(), float64(c.MigrationWireBytes())/(1<<20))
+		return nil
 	})
-	eng.Run()
-	return demoErr
 }
 
 // elasticDemo walks the elastic-pool story on small (2 GiB) hosts so
@@ -363,17 +323,13 @@ func elasticDemo(seed uint64, n int) error {
 	if err != nil {
 		return err
 	}
-	say := func(format string, args ...interface{}) {
-		fmt.Printf("[t=%8.1fs] "+format+"\n", append([]interface{}{eng.Now().Seconds()}, args...)...)
-	}
-	var demoErr error
-	eng.Go("elastic-demo", func(p *sim.Proc) {
+	say := narrator(eng)
+	return eng.RunProc("elastic-demo", func(p *sim.Proc) error {
 		say("pool up: %d host (floor %d, ceiling %d), %.1f GiB admissible",
 			c.ActiveHosts(), 1, ceiling, float64(c.Hosts()[0].Fleet().RAMBudgetBytes())/(1<<30))
 		say("launching a %d-nym burst (system > persistent > ephemeral classes)", n)
 		if err := c.LaunchAll(experiments.ElasticSpecs(n)); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		c.AwaitSettled(p)
 		st := c.Snapshot()
@@ -395,14 +351,12 @@ func elasticDemo(seed uint64, n int) error {
 		vip.Opts.GuardSeed = "vip"
 		say("VIP system-class launch arrives with the pool saturated at the ceiling")
 		if err := c.Launch(vip); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		for c.Member("vip") == nil || c.Member("vip").State() != fleet.StateRunning {
 			c.AwaitSettled(p)
 			if m := c.Member("vip"); m != nil && m.State() == fleet.StateFailed {
-				demoErr = fmt.Errorf("vip launch failed: %v", m.LastErr())
-				return
+				return fmt.Errorf("vip launch failed: %v", m.LastErr())
 			}
 		}
 		st = c.Snapshot()
@@ -440,9 +394,8 @@ func elasticDemo(seed uint64, n int) error {
 		}
 		say("%d persistent/system nyms still running, identities intact across %d total migrations",
 			st.Running, st.Migrations)
+		return nil
 	})
-	eng.Run()
-	return demoErr
 }
 
 // fleetDemo ramps a supervised fleet of concurrent nyms: parallel
@@ -460,20 +413,15 @@ func fleetDemo(seed uint64, n int) error {
 		return err
 	}
 	o := fleet.New(mgr, fleet.Config{Restart: fleet.DefaultRestartPolicy()})
-	say := func(format string, args ...interface{}) {
-		fmt.Printf("[t=%8.1fs] "+format+"\n", append([]interface{}{eng.Now().Seconds()}, args...)...)
-	}
-	var demoErr error
-	eng.Go("fleet-demo", func(p *sim.Proc) {
+	say := narrator(eng)
+	return eng.RunProc("fleet-demo", func(p *sim.Proc) error {
 		say("launching %d nyms (budget %.1f GiB RAM, %d-wide start gate)",
 			n, float64(o.RAMBudgetBytes())/(1<<30), o.StartGateWidth())
 		if _, err := o.LaunchAll(experiments.FleetSpecs(n)); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		if err := o.AwaitRunning(p, n); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		var slowest time.Duration
 		for _, m := range o.Members() {
@@ -488,40 +436,34 @@ func fleetDemo(seed uint64, n int) error {
 		victim := o.Members()[1]
 		say("injecting a crash into %s", victim.Name())
 		if err := o.FailNym(p, victim.Name(), nil); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		if err := o.AwaitRunning(p, n); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("%s revived by the restart policy (restart %d of %d); fleet back to %d running",
 			victim.Name(), victim.Restarts(), o.Config().Restart.MaxRestarts, o.Running())
 
 		stats, err := o.SaveSweep(p, "fleet-pw", experiments.FleetVaultDest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("staggered save sweep: %d persistent nyms checkpointed, %.1f MB shipped over %.1fs",
 			stats.Saves, float64(stats.UploadedBytes)/(1<<20), stats.Elapsed.Seconds())
 		stats, err = o.SaveSweep(p, "fleet-pw", experiments.FleetVaultDest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("steady-state sweep: %.2f MB (deltas only; monolithic re-upload would be %.1f MB)",
 			float64(stats.UploadedBytes)/(1<<20), float64(stats.BaselineBytes)/(1<<20))
 
 		if err := o.StopAll(p); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("fleet stopped: %d nyms wiped, host holds %d VMs, %.1f GiB still reserved",
 			o.CountState(fleet.StateStopped), mgr.Host().VMCount(), float64(o.ReservedBytes())/(1<<30))
+		return nil
 	})
-	eng.Run()
-	return demoErr
 }
 
 // sweepsDemo runs the checkpoint sweep scheduler over an
@@ -541,32 +483,25 @@ func sweepsDemo(seed uint64, n int) error {
 		return err
 	}
 	o := fleet.New(mgr, fleet.Config{Restart: fleet.DefaultRestartPolicy()})
-	say := func(format string, args ...interface{}) {
-		fmt.Printf("[t=%8.1fs] "+format+"\n", append([]interface{}{eng.Now().Seconds()}, args...)...)
-	}
-	var demoErr error
-	eng.Go("sweeps-demo", func(p *sim.Proc) {
+	say := narrator(eng)
+	return eng.RunProc("sweeps-demo", func(p *sim.Proc) error {
 		say("launching %d persistent nyms", n)
 		if _, err := o.LaunchAll(experiments.SweepSpecs(n)); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		if err := o.AwaitRunning(p, n); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		cold, err := o.SaveSweep(p, "fleet-pw", experiments.FleetVaultDest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("cold full checkpoint: %d nyms, %.1f MB shipped", cold.Saves, float64(cold.UploadedBytes)/(1<<20))
 
 		if err := o.StartSweeps(fleet.SweepConfig{
 			Interval: interval, Password: "fleet-pw", DestFor: experiments.FleetVaultDest,
 		}); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("sweep scheduler started (interval %s, dirty-skip on)", interval)
 		members := o.Members()
@@ -574,8 +509,7 @@ func sweepsDemo(seed uint64, n int) error {
 			if round == 2 || round == 4 {
 				m := members[round%n]
 				if _, err := m.Nym().Visit(p, "twitter.com"); err != nil {
-					demoErr = err
-					return
+					return err
 				}
 				d := m.Nym().DirtyState()
 				say("%s browsed: %d RAM pages and %.1f KB of disk dirtied since its checkpoint",
@@ -599,13 +533,11 @@ func sweepsDemo(seed uint64, n int) error {
 		say("a save-everything sweep at the same cadence would have checkpointed %d nyms every %s; dirty tracking shipped deltas only",
 			n, interval)
 		if err := o.StopAll(p); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("fleet stopped")
+		return nil
 	})
-	eng.Run()
-	return demoErr
 }
 
 // statusDemo exercises the whole failure surface on a live cluster —
@@ -635,23 +567,17 @@ func statusDemo(seed uint64, n int) error {
 	if err != nil {
 		return err
 	}
-	say := func(format string, args ...interface{}) {
-		fmt.Printf("[t=%8.1fs] "+format+"\n", append([]interface{}{eng.Now().Seconds()}, args...)...)
-	}
-	var demoErr error
-	eng.Go("status-demo", func(p *sim.Proc) {
+	say := narrator(eng)
+	err = eng.RunProc("status-demo", func(p *sim.Proc) error {
 		say("ramping %d nyms across %d hosts", n, len(c.Hosts()))
 		if err := c.LaunchAll(experiments.FleetSpecs(n)); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		if err := c.AwaitRunning(p, n); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		if err := c.StartSweeps(cluster.SweepConfig{Interval: 20 * time.Second, Cadence: fleet.Cadence{Mode: fleet.CadenceAll}}); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("%d running; sweep coordinator started", c.Running())
 		p.Sleep(45 * time.Second)
@@ -671,13 +597,11 @@ func statusDemo(seed uint64, n int) error {
 			}
 		}
 		if err := c.HostOf(victim).Fleet().FailNym(p, victim, nil); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("injected a crash into %s; waiting for its restart", victim)
 		if err := c.AwaitRunning(p, n); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 
 		// Move one nym across hosts through the vault.
@@ -698,8 +622,7 @@ func statusDemo(seed uint64, n int) error {
 			dst = c.Hosts()[1]
 		}
 		if _, err := c.MigrateNym(p, mover, dst.Name()); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("migrated %s to %s via the vault", mover, dst.Name())
 		p.Sleep(30 * time.Second)
@@ -718,22 +641,20 @@ func statusDemo(seed uint64, n int) error {
 		say("severed region %q from the providers; migrating %s back to %s", srcRegion, mover, back.Name())
 		rep, err := c.MigrateNym(p, mover, back.Name())
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		net.HealRegions(srcRegion, webworld.CoreRegion)
 		say("migration recovered from the last vault checkpoint (retried=%v); region healed", rep.Retried)
 		c.StopSweeps()
 		c.AwaitSweepsIdle(p)
 		if err := c.StopAll(p); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("cluster drained; rendering the SLO report")
+		return nil
 	})
-	eng.Run()
-	if demoErr != nil {
-		return demoErr
+	if err != nil {
+		return err
 	}
 	fmt.Print(slo.FromCluster(c).Render())
 	return nil

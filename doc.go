@@ -19,8 +19,9 @@
 // KSM, a Tor test deployment on DeterLab, Chromium workloads, cloud
 // providers, installed Windows images — is rebuilt here as a
 // deterministic discrete-event simulation using only the standard
-// library. See DESIGN.md for the system inventory and EXPERIMENTS.md
-// for the paper-versus-measured record of every figure and table.
+// library. See DESIGN.md for the system inventory; `nymbench -run
+// summary` sets the abstract's headline claims beside the measured
+// values.
 //
 // The primary entry point is the Nym Manager in internal/core. The
 // cmd/nymbench binary regenerates every evaluation result, and

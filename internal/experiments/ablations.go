@@ -75,7 +75,7 @@ func AblationStaining(seed uint64) ([]StainRow, error) {
 		dest := core.StoreDest{Provider: "dropbin", Account: fmt.Sprintf("stain-%d", mi), AccountPassword: "c"}
 		var row StainRow
 		row.Model = model
-		err = runProc(eng, "stain", func(p *sim.Proc) error {
+		err = eng.RunProc("stain", func(p *sim.Proc) error {
 			// Session 1: browse, get stained mid-session.
 			nym, err := mgr.StartNym(p, "victim", core.Options{Model: model})
 			if err != nil {
@@ -172,7 +172,7 @@ func AblationLinkage(seed uint64) ([]LinkageRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = runProc(eng, "nymix-roles", func(p *sim.Proc) error {
+	err = eng.RunProc("nymix-roles", func(p *sim.Proc) error {
 		for i, site := range sites {
 			nym, err := mgr.StartNym(p, fmt.Sprintf("role-%d", i), core.Options{})
 			if err != nil {

@@ -83,7 +83,7 @@ func CensorshipDPI(seed uint64) (*CensorDPIResult, error) {
 		vnet.ThrottleProto(censorThrottleRate, "https"),
 	))
 
-	if err := runProc(eng, "censorship-dpi", func(p *sim.Proc) error {
+	if err := eng.RunProc("censorship-dpi", func(p *sim.Proc) error {
 		// Phase 0: baseline, censor not yet deployed.
 		base, err := mgr.StartNym(p, "baseline", core.Options{Anonymizer: "tor-bridge"})
 		if err != nil {

@@ -7,7 +7,7 @@
 // live migration (FleetShards), and elastic autoscaling with
 // priority-class admission (Elastic). Each generator builds a fresh
 // deterministic world from a seed and returns typed rows; Render*
-// helpers print them in the paper's layout. cmd/nymbench is the CLI
-// front end and bench_test.go wraps each generator in a testing.B
-// benchmark.
+// helpers print them in the paper's layout. Registry names every
+// experiment with one run-and-render entry; cmd/nymbench loops over
+// it and bench_test.go runs each entry as a testing.B sub-benchmark.
 package experiments

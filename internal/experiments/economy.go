@@ -300,7 +300,7 @@ func economyRun(seed uint64, nyms, hosts, rounds int, mode string, out *EconomyM
 	}
 	out.Mode = mode
 	var coldMB float64
-	err = runProc(eng, "economy-"+mode, func(p *sim.Proc) error {
+	err = eng.RunProc("economy-"+mode, func(p *sim.Proc) error {
 		if err := c.LaunchAll(EconomySpecs(nyms)); err != nil {
 			return err
 		}

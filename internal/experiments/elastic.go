@@ -188,7 +188,7 @@ func elasticRun(seed uint64, nyms, hosts int, elastic bool, hostCfg hypervisor.C
 		mode = "elastic"
 	}
 
-	err = runProc(eng, "elastic-"+mode, func(p *sim.Proc) error {
+	err = eng.RunProc("elastic-"+mode, func(p *sim.Proc) error {
 		// Phase 1: the burst. Settled means every launch was admitted,
 		// preempted after admission, or (fixed mode) stalled for good.
 		t0 := p.Now()

@@ -22,15 +22,6 @@ func newRig(seed uint64) (*sim.Engine, *webworld.World, *core.Manager, error) {
 	return eng, world, mgr, nil
 }
 
-// runProc executes fn as a simulated process, drains the engine, and
-// returns fn's error.
-func runProc(eng *sim.Engine, name string, fn func(p *sim.Proc) error) error {
-	var err error
-	eng.Go(name, func(p *sim.Proc) { err = fn(p) })
-	eng.Run()
-	return err
-}
-
 // table is a tiny fixed-width renderer for paper-style output.
 type table struct {
 	b strings.Builder

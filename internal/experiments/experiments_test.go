@@ -386,9 +386,18 @@ func TestExperimentsDeterministic(t *testing.T) {
 }
 
 func TestRenderersProduceOutput(t *testing.T) {
-	f3, _ := Figure3(1)
-	t1, _ := Table1(6)
-	v, _ := Validation(7)
+	f3, err := Figure3(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, err := Table1(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := Validation(7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, out := range map[string]string{
 		"fig3":  RenderFigure3(f3),
 		"tab1":  RenderTable1(t1),
@@ -615,5 +624,33 @@ func TestSweepSteadyStateShape(t *testing.T) {
 	out := RenderSweepSteadyState(res)
 	if !strings.Contains(out, "skip-ratio") || !strings.Contains(out, "% of the naive wire") {
 		t.Errorf("render missing headline fields:\n%s", out)
+	}
+}
+
+// TestSweepSteadyStateWireBound holds the default-size sweep run (the
+// one nymbench -run sweeps prints) to DESIGN.md's bound: steady-state
+// scheduled sweeps ship at most 25% of the save-everything wire.
+func TestSweepSteadyStateWireBound(t *testing.T) {
+	res, err := SweepSteadyState(1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.WireFrac > 0.25 {
+		t.Fatalf("scheduled sweeps shipped %.1f%% of the naive wire; want <= 25%%", 100*res.WireFrac)
+	}
+}
+
+// TestRegistryNames checks every registered experiment is reachable
+// by a distinct nymbench -run name.
+func TestRegistryNames(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Registry {
+		switch {
+		case e.Name == "" || e.Name == "all":
+			t.Errorf("registry entry named %q", e.Name)
+		case seen[e.Name]:
+			t.Errorf("registry name %q appears twice", e.Name)
+		}
+		seen[e.Name] = true
 	}
 }

@@ -38,7 +38,7 @@ func Figure3(seed uint64) ([]Figure3Row, error) {
 	}
 	var rows []Figure3Row
 	baselineMB := float64(mgr.Host().Mem().UsedBytes()) / float64(guestos.MiB)
-	err = runProc(eng, "figure3", func(p *sim.Proc) error {
+	err = eng.RunProc("figure3", func(p *sim.Proc) error {
 		for k, site := range workload.Figure3Sites {
 			nym, err := mgr.StartNym(p, fmt.Sprintf("fig3-%d", k), core.Options{})
 			if err != nil {

@@ -36,7 +36,7 @@ func Figure4(seed uint64) ([]Figure4Row, error) {
 		}
 		if k == 0 {
 			var native float64
-			if err := runProc(eng, "fig4-native", func(p *sim.Proc) error {
+			if err := eng.RunProc("fig4-native", func(p *sim.Proc) error {
 				native = workload.RunPeacekeeperNative(p, mgr.Host())
 				return nil
 			}); err != nil {
@@ -46,7 +46,7 @@ func Figure4(seed uint64) ([]Figure4Row, error) {
 			continue
 		}
 		var scores []float64
-		err = runProc(eng, "fig4", func(p *sim.Proc) error {
+		err = eng.RunProc("fig4", func(p *sim.Proc) error {
 			var nyms []*core.Nym
 			for i := 0; i < k; i++ {
 				nym, err := mgr.StartNym(p, fmt.Sprintf("pk-%d", i), core.Options{AnonRAM: peacekeeperRAM})

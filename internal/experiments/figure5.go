@@ -28,7 +28,7 @@ func Figure5(seed uint64) ([]Figure5Row, error) {
 			return nil, err
 		}
 		var worst time.Duration
-		err = runProc(eng, "fig5", func(p *sim.Proc) error {
+		err = eng.RunProc("fig5", func(p *sim.Proc) error {
 			var nyms []*core.Nym
 			for i := 0; i < k; i++ {
 				nym, err := mgr.StartNym(p, fmt.Sprintf("dl-%d", i), core.Options{})

@@ -40,7 +40,7 @@ func Figure6(seed uint64) ([]Figure6Series, error) {
 		series := Figure6Series{Site: site}
 		name := "fig6-" + site
 		prof := world.Site(site).Profile
-		err = runProc(eng, "fig6", func(p *sim.Proc) error {
+		err = eng.RunProc("fig6", func(p *sim.Proc) error {
 			// Cycle 1: fresh nym, visit, sign in where applicable,
 			// remember the login, save to cloud.
 			nym, err := mgr.StartNym(p, name, opts)

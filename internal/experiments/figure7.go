@@ -55,7 +55,7 @@ func Figure7(seed uint64) ([]Figure7Row, error) {
 
 	// Fresh: a brand-new ephemeral nym each run.
 	var freshPhases []core.StartPhases
-	if err := runProc(eng, "fig7-fresh", func(p *sim.Proc) error {
+	if err := eng.RunProc("fig7-fresh", func(p *sim.Proc) error {
 		for i := 0; i < runs; i++ {
 			nym, err := mgr.StartNym(p, fmt.Sprintf("fresh-%d", i), core.Options{})
 			if err != nil {
@@ -77,7 +77,7 @@ func Figure7(seed uint64) ([]Figure7Row, error) {
 
 	// Prepare a quasi-persistent nym once: boot, sign in to Twitter,
 	// snapshot to the cloud.
-	if err := runProc(eng, "fig7-prep", func(p *sim.Proc) error {
+	if err := eng.RunProc("fig7-prep", func(p *sim.Proc) error {
 		nym, err := mgr.StartNym(p, "quasi", core.Options{Model: core.ModelPreconfigured})
 		if err != nil {
 			return err
@@ -95,7 +95,7 @@ func Figure7(seed uint64) ([]Figure7Row, error) {
 
 	// Pre-configured: load the golden snapshot each run, never save.
 	var prePhases []core.StartPhases
-	if err := runProc(eng, "fig7-pre", func(p *sim.Proc) error {
+	if err := eng.RunProc("fig7-pre", func(p *sim.Proc) error {
 		for i := 0; i < runs; i++ {
 			nym, err := mgr.LoadNym(p, "quasi", "pw", core.Options{Model: core.ModelPreconfigured}, dest)
 			if err != nil {
@@ -117,7 +117,7 @@ func Figure7(seed uint64) ([]Figure7Row, error) {
 
 	// Persisted: load, browse, save back each run.
 	var perPhases []core.StartPhases
-	if err := runProc(eng, "fig7-per", func(p *sim.Proc) error {
+	if err := eng.RunProc("fig7-per", func(p *sim.Proc) error {
 		for i := 0; i < runs; i++ {
 			nym, err := mgr.LoadNym(p, "quasi", "pw", core.Options{Model: core.ModelPersistent}, dest)
 			if err != nil {

@@ -102,7 +102,7 @@ func fleetRampOne(seed uint64, n int) (FleetScale, error) {
 	o := fleet.New(mgr, fleet.Config{Restart: fleet.DefaultRestartPolicy()})
 	destFor := FleetVaultDest
 	row := FleetScale{Nyms: n}
-	err = runProc(eng, "fleet-ramp", func(p *sim.Proc) error {
+	err = eng.RunProc("fleet-ramp", func(p *sim.Proc) error {
 		// Single-nym baseline on the same world, for the serial
 		// estimate the parallel ramp is judged against.
 		probe, err := mgr.StartNym(p, "probe", FleetNymOptions("probe", 1))

@@ -67,19 +67,23 @@ func TestGoldenPartition(t *testing.T) {
 // TestGoldenExperiments pins the experiments no other test runs at
 // their default size: the NymVault incremental-save table, the DPI
 // censorship run, and the five-backend anonymity-vs-cost frontier.
+// Each is looked up in Registry, so the golden is what nymbench -json
+// records as the run's result.
 func TestGoldenExperiments(t *testing.T) {
-	runs := map[string]func(uint64) (any, error){
-		"vault":      func(s uint64) (any, error) { return VaultIncremental(s) },
-		"censorship": func(s uint64) (any, error) { return CensorshipDPI(s) },
-		"mixnet":     func(s uint64) (any, error) { return MixnetFrontier(s) },
-	}
 	for _, name := range []string{"vault", "censorship", "mixnet"} {
 		t.Run(name, func(t *testing.T) {
-			res, err := runs[name](1)
-			if err != nil {
-				t.Fatal(err)
+			for _, e := range Registry {
+				if e.Name != name {
+					continue
+				}
+				_, res, err := e.Run(1, Size{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, name+".json", res)
+				return
 			}
-			checkGolden(t, name+".json", res)
+			t.Fatalf("no registry entry %q", name)
 		})
 	}
 }

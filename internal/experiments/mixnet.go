@@ -92,7 +92,7 @@ func frontierRun(seed uint64, backend string) (*MixnetFrontierRow, error) {
 
 	var lats []time.Duration
 	var payload int64
-	if err := runProc(eng, "frontier-"+backend, func(p *sim.Proc) error {
+	if err := eng.RunProc("frontier-"+backend, func(p *sim.Proc) error {
 		alice, err := mgr.StartNym(p, "alice", core.Options{Anonymizer: backend})
 		if err != nil {
 			return err

@@ -157,7 +157,7 @@ func Partition(seed uint64) (*PartitionResult, error) {
 	}
 
 	var migErr error
-	err = runProc(eng, "partition", func(p *sim.Proc) error {
+	err = eng.RunProc("partition", func(p *sim.Proc) error {
 		t0 := p.Now()
 		if err := c.LaunchAll(partitionSpecs(partitionNyms)); err != nil {
 			return err

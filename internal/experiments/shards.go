@@ -76,7 +76,7 @@ func shardRampOne(seed uint64, nyms, hosts int, policy cluster.Policy, hostCfg h
 		return ShardScale{}, err
 	}
 	row := ShardScale{Policy: policy.Name(), Nyms: nyms, Hosts: hosts}
-	err = runProc(eng, "shard-ramp", func(p *sim.Proc) error {
+	err = eng.RunProc("shard-ramp", func(p *sim.Proc) error {
 		t0 := p.Now()
 		if err := c.LaunchAll(FleetSpecs(nyms)); err != nil {
 			return err
@@ -90,7 +90,7 @@ func shardRampOne(seed uint64, nyms, hosts int, policy cluster.Policy, hostCfg h
 	if err != nil {
 		return ShardScale{}, err
 	}
-	// runProc drains the engine, so the rebalancer has converged (no
+	// RunProc drains the engine, so the rebalancer has converged (no
 	// hot host with a cold destination remains) before stats are read.
 	st := c.Snapshot()
 	row.PeakQueued = st.PeakQueued

@@ -125,7 +125,7 @@ func sweepRun(seed uint64, n, rounds int, cadence fleet.CadenceMode) (SweepMode,
 		mode.Mode = "naive"
 	}
 	var coldMB float64
-	err = runProc(eng, "sweep-steady", func(p *sim.Proc) error {
+	err = eng.RunProc("sweep-steady", func(p *sim.Proc) error {
 		if _, err := o.LaunchAll(SweepSpecs(n)); err != nil {
 			return err
 		}

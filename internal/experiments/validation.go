@@ -56,7 +56,7 @@ func Validation(seed uint64) (*ValidationReport, error) {
 	}
 	cap := mgr.Host().Uplink().Tap()
 	var nyms []*core.Nym
-	err = runProc(eng, "validation", func(p *sim.Proc) error {
+	err = eng.RunProc("validation", func(p *sim.Proc) error {
 		for i := 0; i < 2; i++ {
 			nym, err := mgr.StartNym(p, fmt.Sprintf("val-%d", i), core.Options{})
 			if err != nil {

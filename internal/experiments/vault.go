@@ -47,7 +47,7 @@ func VaultIncremental(seed uint64) ([]VaultCycle, error) {
 			DedupPct:     100 * stats.DedupFrac(),
 		})
 	}
-	err = runProc(eng, "vault-bench", func(p *sim.Proc) error {
+	err = eng.RunProc("vault-bench", func(p *sim.Proc) error {
 		nym, err := mgr.StartNym(p, "vault-nym", opts)
 		if err != nil {
 			return err

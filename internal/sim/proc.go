@@ -52,6 +52,15 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Future[struct{}] {
 	return done
 }
 
+// RunProc runs fn as a simulated process, drains the engine, and
+// returns fn's error.
+func (e *Engine) RunProc(name string, fn func(p *Proc) error) error {
+	var err error
+	e.Go(name, func(p *Proc) { err = fn(p) })
+	e.Run()
+	return err
+}
+
 // handoff transfers control from the engine to the process goroutine
 // and blocks until the process parks again (sleeps, awaits, or exits).
 // It must be called from the engine goroutine.
