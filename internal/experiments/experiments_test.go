@@ -19,6 +19,7 @@ func TestFigure3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig3.json", rows)
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -62,6 +63,7 @@ func TestFigure4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig4.json", rows)
 	if len(rows) != 9 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -99,6 +101,7 @@ func TestFigure5Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig5.json", rows)
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -126,6 +129,7 @@ func TestFigure6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig6.json", series)
 	if len(series) != 4 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -176,6 +180,7 @@ func TestFigure7Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig7.json", rows)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -210,6 +215,7 @@ func TestTable1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "table1.json", rows)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -240,6 +246,7 @@ func TestValidationPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "validation.json", report)
 	if !report.Passed() {
 		t.Fatalf("validation failed:\n%s", RenderValidation(report))
 	}
@@ -252,6 +259,7 @@ func TestValidationPasses(t *testing.T) {
 
 func TestAblationGuardExposureShape(t *testing.T) {
 	rows := AblationGuardExposure(8, 0.05)
+	checkGolden(t, "ablation_guard.json", rows)
 	for _, r := range rows {
 		if r.Persistent != 0.05 {
 			t.Fatalf("persistent exposure = %v", r.Persistent)
@@ -270,6 +278,7 @@ func TestAblationStainingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "ablation_staining.json", rows)
 	byModel := map[core.UsageModel]StainRow{}
 	for _, r := range rows {
 		byModel[r.Model] = r
@@ -296,6 +305,7 @@ func TestAblationLinkageShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "ablation_linkage.json", rows)
 	for _, r := range rows {
 		switch r.Strategy {
 		case "nymix-per-role-nyms":
@@ -313,6 +323,7 @@ func TestAblationLinkageShape(t *testing.T) {
 func TestAblationBuddiesShape(t *testing.T) {
 	const floor = 4
 	rows := AblationBuddies(11, floor, 12)
+	checkGolden(t, "ablation_buddies.json", rows)
 	if len(rows) != 12 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -517,6 +528,7 @@ func TestElasticShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "elastic_small.json", res)
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d, want 3 classes x 2 modes", len(res.Rows))
 	}
