@@ -19,16 +19,23 @@ import (
 // 1 Gbit/s line rather than the paper's rate-limited 10 Mbit/s DSL.
 var ClusterUplink = vnet.LinkConfig{Latency: time.Millisecond, Capacity: 1e9 / 8}
 
+// Host naming and cloud quota shared by every cluster.
+const (
+	// hostPrefix names hosts hostPrefix0, hostPrefix1, ... in boot
+	// order.
+	hostPrefix = "shard"
+	// providerQuota is the per-account cloud quota.
+	providerQuota = 2 << 30
+)
+
 // Config parameterizes a cluster. Zero values take defaults.
 type Config struct {
 	// Hosts is the pool size (default 4).
 	Hosts int
 	// HostConfig sizes each host (default: 64 GiB, 16 cores — the
 	// fleet experiment's production profile). Name is overridden per
-	// host with HostPrefix.
+	// host with hostPrefix.
 	HostConfig hypervisor.Config
-	// HostPrefix names hosts HostPrefix0..N-1 (default "shard").
-	HostPrefix string
 	// Uplink is each host's uplink (default ClusterUplink).
 	Uplink *vnet.LinkConfig
 	// Fleet configures every host's orchestrator.
@@ -50,8 +57,6 @@ type Config struct {
 	// DestFor maps a nym name to its vault destination (default: one
 	// pseudonymous dropbin account per nym).
 	DestFor func(name string) core.VaultDest
-	// ProviderQuota is the per-account cloud quota (default 2 GiB).
-	ProviderQuota int64
 	// RegionFor maps a host index to a hosting region. When set, each
 	// host uplinks to its region's gateway router
 	// (webworld.EnsureRegion) instead of the world's LAN gateway, so
@@ -66,9 +71,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.HostConfig.RAMBytes == 0 && c.HostConfig.CPU.Cores == 0 {
 		c.HostConfig = hypervisor.Config{RAMBytes: 64 << 30, CPU: defaultChip()}
-	}
-	if c.HostPrefix == "" {
-		c.HostPrefix = "shard"
 	}
 	if c.Uplink == nil {
 		c.Uplink = &ClusterUplink
@@ -87,9 +89,6 @@ func (c *Config) fillDefaults() error {
 				AccountPassword: "cloud-pw",
 			}
 		}
-	}
-	if c.ProviderQuota == 0 {
-		c.ProviderQuota = 2 << 30
 	}
 	if err := c.Rebalance.fillDefaults(); err != nil {
 		return err
@@ -278,7 +277,7 @@ func New(eng *sim.Engine, world *webworld.World, cfg Config) (*Cluster, error) {
 		queueSince: -1,
 		coldSince:  -1,
 	}
-	c.providers = core.DefaultProviders(world, cfg.ProviderQuota)
+	c.providers = core.DefaultProviders(world, providerQuota)
 	for i := 0; i < cfg.Hosts; i++ {
 		if _, err := c.addHost(); err != nil {
 			return nil, err
@@ -293,7 +292,7 @@ func New(eng *sim.Engine, world *webworld.World, cfg Config) (*Cluster, error) {
 // New calls it for the initial pool.
 func (c *Cluster) addHost() (*Host, error) {
 	hostCfg := c.cfg.HostConfig
-	hostCfg.Name = fmt.Sprintf("%s%d", c.cfg.HostPrefix, c.hostSeq)
+	hostCfg.Name = fmt.Sprintf("%s%d", hostPrefix, c.hostSeq)
 	var gateway *vnet.Node
 	if c.cfg.RegionFor != nil {
 		if region := c.cfg.RegionFor(c.hostSeq); region != "" {

@@ -10,7 +10,7 @@
 //   - Admission control. Every nymbox is RAM: both VMs' memory and
 //     both RAM-backed writable disks come from the host's physical
 //     stash (section 5.2). Launches reserve their requested footprint
-//     against a configurable headroom share of host RAM and queue —
+//     against a fixed headroom share of host RAM and queue —
 //     rather than fail mid-boot with a half-built nymbox — when the
 //     host is oversubscribed. A bounded start gate likewise keeps the
 //     number of concurrent boot+bootstrap pipelines proportional to
@@ -18,11 +18,13 @@
 //   - Priority classes. Each launch carries a Priority (System >
 //     Persistent > Ephemeral, defaulting from the usage model), and
 //     the admission queue is strict priority-FIFO: higher classes are
-//     admitted first, equals keep arrival order. Under sustained
-//     pressure the preemption daemon sacrifices strictly-lower
-//     classes for a queued launch — ephemeral victims are terminated
-//     outright, persistent ones are checkpointed to the NymVault and
-//     evicted, so durable identity survives the kill.
+//     admitted first, equals keep arrival order. PreemptOne
+//     sacrifices the cheapest strictly-lower-class member for a
+//     queued launch — ephemeral victims are terminated outright,
+//     persistent ones are checkpointed to the NymVault and evicted,
+//     so durable identity survives the kill. The orchestrator never
+//     preempts on its own: the cluster's preemption pass decides when
+//     and on which host a queued launch is worth a victim.
 //   - Parallel pipelines. Startup and teardown run as independent
 //     simulated processes fanned out over sim futures, so wall-clock
 //     (simulated) time is bounded by the slowest admitted batch, not
@@ -46,7 +48,7 @@
 // installs the periodic scheduler on top: it fires on an interval,
 // reads each nym's dirty state (plumbed up from internal/vm through
 // core.Nym) and backs off exponentially, up to four intervals, while
-// the orchestrator is under admission pressure or preempting. A
+// the orchestrator is under admission pressure. A
 // Cadence picks the members a pass saves: the default dirty mode
 // skips clean members entirely — no upload, no login, no provider
 // round trip — the all mode saves everything (SaveSweep's mode), and

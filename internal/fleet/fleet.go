@@ -25,32 +25,34 @@ func DefaultRestartPolicy() RestartPolicy {
 	return RestartPolicy{MaxRestarts: 2, Backoff: 2 * time.Second}
 }
 
-// Config parameterizes an Orchestrator. Zero values take defaults.
+// Admission, pacing and checkpoint-sweep constants shared by every
+// orchestrator.
+const (
+	// ramHeadroom is the fraction of host physical RAM admissible for
+	// nymbox reservations; the remainder stays free for the
+	// hypervisor's own growth and KSM scan slack.
+	ramHeadroom = 0.9
+	// startsPerCore bounds concurrent startup pipelines (and parallel
+	// teardowns) at startsPerCore * physical cores.
+	startsPerCore = 2
+	// saveStagger spaces successive save launches in a sweep, and
+	// saveConcurrency caps its in-flight saves.
+	saveStagger     = 250 * time.Millisecond
+	saveConcurrency = 4
+	// ksmInterval is the merge daemon's period while fleet operations
+	// are in flight; ksmBudget is its page budget per tick (<0 drains
+	// the scan queue).
+	ksmInterval = 100 * time.Millisecond
+	ksmBudget   = -1
+)
+
+// Config parameterizes an Orchestrator. The zero value never
+// restarts, evicts only ephemeral nyms, and leaves idle wire uncapped.
 type Config struct {
-	// RAMHeadroom is the fraction of host physical RAM admissible for
-	// nymbox reservations (default 0.9); the remainder stays free for
-	// the hypervisor's own growth and KSM scan slack.
-	RAMHeadroom float64
-	// StartsPerCore bounds concurrent startup pipelines at
-	// ceil(StartsPerCore * physical cores) (default 2).
-	StartsPerCore float64
 	// Restart is the per-member failure policy.
 	Restart RestartPolicy
-	// SaveStagger spaces successive save launches in a sweep
-	// (default 250ms).
-	SaveStagger time.Duration
-	// SaveConcurrency caps in-flight saves during a sweep (default 4).
-	SaveConcurrency int
-	// StopConcurrency caps parallel teardowns (default: the start
-	// gate's width).
-	StopConcurrency int
-	// KSMInterval is the merge daemon's period while fleet operations
-	// are in flight (default 100ms). KSMBudget is the page budget per
-	// tick; <0 drains the scan queue (the default).
-	KSMInterval time.Duration
-	KSMBudget   int
-	// Preempt arms the pressure-driven preemption daemon (disabled by
-	// default); see PreemptConfig.
+	// Preempt is the vault channel PreemptOne evicts durable members
+	// through; see PreemptConfig.
 	Preempt PreemptConfig
 	// WireBudget is the admissible idle uplink rate in bytes per
 	// second (0 = uncapped). Constant-rate transports (the mixnet's
@@ -58,39 +60,6 @@ type Config struct {
 	// admission reserves each member's Options.WireFootprint against
 	// this budget the way RAM admission reserves Footprint.
 	WireBudget float64
-}
-
-func (c *Config) fillDefaults(cores int) {
-	if c.RAMHeadroom <= 0 || c.RAMHeadroom > 1 {
-		c.RAMHeadroom = 0.9
-	}
-	if c.StartsPerCore <= 0 {
-		c.StartsPerCore = 2
-	}
-	if c.SaveStagger <= 0 {
-		c.SaveStagger = 250 * time.Millisecond
-	}
-	if c.SaveConcurrency <= 0 {
-		c.SaveConcurrency = 4
-	}
-	if c.StopConcurrency <= 0 {
-		c.StopConcurrency = c.startGateWidth(cores)
-	}
-	if c.KSMInterval <= 0 {
-		c.KSMInterval = 100 * time.Millisecond
-	}
-	if c.KSMBudget == 0 {
-		c.KSMBudget = -1
-	}
-	c.Preempt.fillDefaults()
-}
-
-func (c *Config) startGateWidth(cores int) int {
-	w := int(c.StartsPerCore * float64(cores))
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // MemberState is a fleet member's lifecycle state.
@@ -366,13 +335,8 @@ type Orchestrator struct {
 	ops          int
 	ksmScheduled bool
 
-	// Preemption daemon state: the pressure clock (simulated time at
-	// which the current pressure episode began, -1 while clear), the
-	// armed dwell timer, the in-flight pass, and completed counts.
-	pressureSince sim.Time
-	preemptArmed  bool
-	preempting    bool
-	preempted     PreemptStats
+	// preempted counts completed PreemptOne sacrifices.
+	preempted PreemptStats
 
 	// Sweep scheduler state (sweep.go): the installed config (nil
 	// while stopped), the armed tick timer, the current possibly
@@ -398,14 +362,13 @@ type Orchestrator struct {
 }
 
 // New builds an orchestrator over mgr. The admissible RAM budget is
-// RAMHeadroom of host capacity minus what the hypervisor already
+// ramHeadroom of host capacity minus what the hypervisor already
 // holds; an uncapped host admits everything immediately.
 func New(mgr *core.Manager, cfg Config) *Orchestrator {
 	host := mgr.Host()
-	cfg.fillDefaults(host.CPU().Config().Cores)
 	budget := int64(-1) // uncapped host: admit everything
 	if cap := host.Mem().Capacity(); cap > 0 {
-		budget = int64(cfg.RAMHeadroom*float64(cap)) - host.Mem().UsedBytes()
+		budget = int64(ramHeadroom*float64(cap)) - host.Mem().UsedBytes()
 		if budget < 0 {
 			// Already saturated past the headroom: nothing is admissible.
 			budget = 0
@@ -417,22 +380,21 @@ func New(mgr *core.Manager, cfg Config) *Orchestrator {
 	}
 	eng := mgr.Engine()
 	return &Orchestrator{
-		mgr:           mgr,
-		eng:           eng,
-		cfg:           cfg,
-		ram:           newSem(eng, budget),
-		wire:          newSem(eng, wireBudget),
-		startGate:     newSem(eng, int64(cfg.startGateWidth(host.CPU().Config().Cores))),
-		members:       make(map[string]*Member),
-		watchers:      sim.NewBroadcast(eng),
-		pressureSince: -1,
+		mgr:       mgr,
+		eng:       eng,
+		cfg:       cfg,
+		ram:       newSem(eng, budget),
+		wire:      newSem(eng, wireBudget),
+		startGate: newSem(eng, int64(startsPerCore*host.CPU().Config().Cores)),
+		members:   make(map[string]*Member),
+		watchers:  sim.NewBroadcast(eng),
 	}
 }
 
 // Manager returns the underlying Nym Manager.
 func (o *Orchestrator) Manager() *core.Manager { return o.mgr }
 
-// Config returns the effective (default-filled) configuration.
+// Config returns the orchestrator's configuration.
 func (o *Orchestrator) Config() Config { return o.cfg }
 
 // RAMBudgetBytes returns the admissible reservation budget.
@@ -558,9 +520,6 @@ func (o *Orchestrator) Launch(spec Spec) (*Member, error) {
 	if m.wireRate > 0 {
 		m.pendingWire = o.wire.reservePri(m.wireRate, int(m.pri))
 	}
-	// A launch that queued is pressure the preemptor may act on; no
-	// state transition fires until admission, so arm it here.
-	o.schedulePreempt()
 	o.superviseLaunch(m, 0)
 	return m, nil
 }
@@ -798,12 +757,8 @@ func (o *Orchestrator) QueueStalled() bool { return o.queueStalled() }
 // is only non-empty when its head does not fit the free budget, so
 // without a Starting/Restarting/Stopping member (or a launch proc that
 // has not reached the queue yet) the fleet cannot make progress on its
-// own. An armed or in-flight preemption pass counts as progress: the
-// head's deficit is about to be freed by force.
+// own.
 func (o *Orchestrator) queueStalled() bool {
-	if o.preemptArmed || o.preempting || o.needsPreempt() {
-		return false
-	}
 	queued := 0
 	for _, name := range o.order {
 		switch o.members[name].state {
@@ -881,20 +836,18 @@ func (o *Orchestrator) notify() {
 	o.watchers.Notify()
 }
 
-// setState transitions a member, keeps the KSM and preemption daemons
-// armed while they have work, and wakes everyone waiting on fleet
-// progress.
+// setState transitions a member, keeps the KSM daemon armed while it
+// has work, and wakes everyone waiting on fleet progress.
 func (o *Orchestrator) setState(m *Member, s MemberState) {
 	m.state = s
 	o.scheduleKSM()
-	o.schedulePreempt()
 	o.notify()
 }
 
 // SaveSweep checkpoints every Running persistent member through the
 // NymVault, mutated or not — the caller-driven full checkpoint (a
 // fleet's cold save, a pre-shutdown flush). Save launches are spaced
-// SaveStagger apart with at most SaveConcurrency in flight, so a
+// saveStagger apart with at most saveConcurrency in flight, so a
 // fleet-wide checkpoint is a smooth trickle on the anonymizer and the
 // providers rather than a thundering herd. destFor maps each member
 // to its vault destination (typically one pseudonymous account per
@@ -988,14 +941,14 @@ func (o *Orchestrator) Detach(name string) error {
 	return nil
 }
 
-// StopAll tears down every Running member in parallel, bounded by
-// StopConcurrency, releasing each reservation as its wipe completes.
+// StopAll tears down every Running member in parallel, bounded by the
+// start gate's width, releasing each reservation as its wipe completes.
 // Queued members that have not been admitted yet are left queued; call
 // AwaitSettled first for a clean shutdown of a mid-ramp fleet.
 func (o *Orchestrator) StopAll(p *sim.Proc) error {
 	o.opStarted()
 	defer o.opDone()
-	gate := newSem(o.eng, int64(o.cfg.StopConcurrency))
+	gate := newSem(o.eng, o.startGate.capacity)
 	var futs []*sim.Future[struct{}]
 	var stopping []*Member
 	var errs []error
@@ -1071,10 +1024,10 @@ func (o *Orchestrator) scheduleKSM() {
 		return
 	}
 	o.ksmScheduled = true
-	o.eng.Schedule(o.cfg.KSMInterval, func() {
+	o.eng.Schedule(ksmInterval, func() {
 		o.ksmScheduled = false
 		o.sampleRAM() // capture the pre-merge spike
-		o.mgr.Host().KSMScan(o.cfg.KSMBudget)
+		o.mgr.Host().KSMScan(ksmBudget)
 		if o.needsKSM() {
 			o.scheduleKSM()
 			return

@@ -274,8 +274,7 @@ func TestRestartPolicyRetriesFailedStart(t *testing.T) {
 }
 
 func TestSaveSweepStaggersAndDeduplicates(t *testing.T) {
-	stagger := 500 * time.Millisecond
-	eng, o := newFleet(t, 23, 16<<30, Config{SaveStagger: stagger, SaveConcurrency: 2})
+	eng, o := newFleet(t, 23, 16<<30, Config{})
 	destFor := func(m *Member) core.VaultDest {
 		return core.VaultDest{
 			Providers:       []string{"dropbin"},
@@ -314,8 +313,8 @@ func TestSaveSweepStaggersAndDeduplicates(t *testing.T) {
 			second.UploadedBytes, first.UploadedBytes)
 	}
 	// Launches were spaced: three saves, two stagger gaps minimum.
-	if first.Elapsed < 2*stagger {
-		t.Fatalf("sweep elapsed %v, want >= %v of stagger", first.Elapsed, 2*stagger)
+	if first.Elapsed < 2*saveStagger {
+		t.Fatalf("sweep elapsed %v, want >= %v of stagger", first.Elapsed, 2*saveStagger)
 	}
 }
 
@@ -349,7 +348,7 @@ func TestKSMDaemonKeepsRampUnderCapacity(t *testing.T) {
 	// Ten 400 MiB nymboxes on a 6 GiB host: requested RAM (4000 MiB)
 	// plus the hypervisor fits only because the merge daemon folds
 	// shared base-image pages while the ramp is in flight.
-	eng, o := newFleet(t, 31, 6<<30, Config{RAMHeadroom: 0.95})
+	eng, o := newFleet(t, 31, 6<<30, Config{})
 	run(t, eng, func(p *sim.Proc) {
 		if _, err := o.LaunchAll(specs(10, core.ModelEphemeral)); err != nil {
 			t.Errorf("launch: %v", err)
@@ -394,11 +393,7 @@ func TestRampIsDeterministic(t *testing.T) {
 // sweep used to check the member only at loop entry and then yield
 // before using its nym.
 func TestSaveSweepSurvivesMidSweepCrash(t *testing.T) {
-	eng, o := newFleet(t, 41, 16<<30, Config{
-		SaveStagger:     2 * time.Second,
-		SaveConcurrency: 1,
-		Restart:         RestartPolicy{MaxRestarts: 0},
-	})
+	eng, o := newFleet(t, 41, 16<<30, Config{Restart: RestartPolicy{MaxRestarts: 0}})
 	destFor := func(m *Member) core.VaultDest {
 		return core.VaultDest{Providers: []string{"dropbin"}, Account: "a-" + m.Name(), AccountPassword: "p"}
 	}
@@ -414,9 +409,9 @@ func TestSaveSweepSurvivesMidSweepCrash(t *testing.T) {
 		sweepDone := eng.Go("sweep", func(sp *sim.Proc) {
 			st, sweepErr = o.SaveSweep(sp, "pw", destFor)
 		})
-		// The sweep is now saving nym00 and parked ahead of nym01's
-		// save; crash nym01 in that window.
-		p.Sleep(time.Second)
+		// The sweep has launched nym00's save and is parked in the
+		// stagger ahead of nym01's; crash nym01 inside that first gap.
+		p.Sleep(saveStagger / 2)
 		if err := o.FailNym(p, "nym01", nil); err != nil {
 			t.Errorf("fail: %v", err)
 		}
@@ -427,6 +422,9 @@ func TestSaveSweepSurvivesMidSweepCrash(t *testing.T) {
 	}
 	if st.Saves != 3 {
 		t.Fatalf("saves = %d, want the 3 surviving members", st.Saves)
+	}
+	if st.Busy != 1 {
+		t.Fatalf("busy = %d, want the crashed member counted once", st.Busy)
 	}
 	if got := o.Member("nym01").State(); got != StateFailed {
 		t.Fatalf("crashed member state = %v", got)

@@ -3,39 +3,24 @@ package fleet
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"nymix/internal/core"
 	"nymix/internal/nymerr"
 	"nymix/internal/sim"
 )
 
-// PreemptConfig tunes the pressure-driven preemption machinery: when a
-// higher-priority launch has been stuck at the head of the admission
-// queue past Dwell, strictly-lower-priority running members are
-// sacrificed to admit it. Ephemeral victims are terminated outright
-// (their state is disposable by design); durable victims (persistent,
-// pre-configured) are first checkpointed through the NymVault and then
-// evicted, so their durable identity survives in the cloud and a later
-// launch can restore it.
+// PreemptConfig is the vault channel PreemptOne evicts durable members
+// through. Ephemeral victims are terminated outright (their state is
+// disposable by design); durable victims (persistent, pre-configured)
+// are first checkpointed through the NymVault and then evicted, so
+// their durable identity survives in the cloud and a later launch can
+// restore it.
 type PreemptConfig struct {
-	// Enabled arms the daemon; a disabled preemptor costs nothing.
-	Enabled bool
-	// Dwell is how long queue pressure must persist before the first
-	// victim dies (default 5s) — a transient blip during a teardown
-	// should not cost a running nym its life.
-	Dwell time.Duration
 	// VaultPassword seals eviction checkpoints. DestFor maps a member
 	// to its vault destination. When either is unset, durable members
 	// are not evictable and only ephemeral nyms are preempted.
 	VaultPassword string
 	DestFor       func(*Member) core.VaultDest
-}
-
-func (c *PreemptConfig) fillDefaults() {
-	if c.Dwell <= 0 {
-		c.Dwell = 5 * time.Second
-	}
 }
 
 // PreemptStats counts completed preemptions.
@@ -81,7 +66,8 @@ func (o *Orchestrator) victims(pri Priority) []*Member {
 		if m.saving != nil {
 			// A sweep or migration checkpoint holds the member; evicting
 			// it now would double-save the nym mid-flight. The save's
-			// completion notifies, re-arming the preemption daemon.
+			// completion notifies, and the cluster's host watcher
+			// re-evaluates its preemption pass.
 			continue
 		}
 		if durableModel(m.nym.Model()) && !o.canEvict() {
@@ -136,33 +122,6 @@ func (o *Orchestrator) PreemptOne(p *sim.Proc, pri Priority) int64 {
 	}
 }
 
-// preemptPass is the host-local daemon's work loop: as long as the
-// admission queue's head outranks coverable victims, sacrifice the
-// cheapest one. The head is re-read after every kill — releasing a
-// victim's reservation admits the head synchronously, so the next
-// round serves the next queued class (or stops).
-func (o *Orchestrator) preemptPass(p *sim.Proc) {
-	for {
-		need, pri, ok := o.ram.head()
-		if !ok {
-			return
-		}
-		deficit := need - o.HeadroomBytes()
-		if deficit <= 0 {
-			return
-		}
-		vs := o.victims(Priority(pri))
-		var coverable int64
-		for _, m := range vs {
-			coverable += m.footprint
-		}
-		if coverable < deficit {
-			return
-		}
-		o.preemptMember(p, vs[0])
-	}
-}
-
 // preemptMember sacrifices one Running member: durable nyms
 // (persistent, pre-configured) are vault-checkpointed first (the
 // eviction half of scale-down — durable identity survives in the
@@ -213,69 +172,4 @@ func (o *Orchestrator) preemptMember(p *sim.Proc, m *Member) error {
 		o.preempted.Terminated++
 	}
 	return nil
-}
-
-// needsPreempt reports whether the host-local daemon has work: the
-// admission queue's head outranks some running member whose sacrifice
-// (with others below the head's class) would cover the head's deficit.
-func (o *Orchestrator) needsPreempt() bool {
-	if !o.cfg.Preempt.Enabled {
-		return false
-	}
-	need, pri, ok := o.ram.head()
-	if !ok {
-		return false
-	}
-	deficit := need - o.HeadroomBytes()
-	if deficit <= 0 {
-		return false // the head admits on its own; no one has to die
-	}
-	var preemptible int64
-	for _, m := range o.victims(Priority(pri)) {
-		preemptible += m.footprint
-	}
-	return preemptible >= deficit
-}
-
-// schedulePreempt arms one preemption check Dwell out, the same
-// state-driven idiom as the KSM daemon and the cluster rebalancer: a
-// timer exists only while a pass could help, so a fleet without
-// pressure (or without victims) leaves the event queue empty. The
-// pressure clock (pressureSince) is reset whenever the condition
-// clears, so only *sustained* pressure kills.
-func (o *Orchestrator) schedulePreempt() {
-	if !o.needsPreempt() {
-		o.pressureSince = -1
-		return
-	}
-	if o.pressureSince < 0 {
-		o.pressureSince = o.eng.Now()
-	}
-	if o.preemptArmed || o.preempting {
-		return
-	}
-	o.preemptArmed = true
-	wait := o.pressureSince + o.cfg.Preempt.Dwell - o.eng.Now()
-	o.eng.Schedule(wait, func() {
-		o.preemptArmed = false
-		if o.preempting || !o.needsPreempt() {
-			o.pressureSince = -1
-			o.notify() // waiters watch preemptArmed via queueStalled
-			return
-		}
-		if o.eng.Now()-o.pressureSince < o.cfg.Preempt.Dwell {
-			o.schedulePreempt() // pressure blipped off and back on; re-dwell
-			return
-		}
-		o.preempting = true
-		o.eng.Go("fleet/preempt", func(p *sim.Proc) {
-			o.opStarted()
-			o.preemptPass(p)
-			o.opDone()
-			o.preempting = false
-			o.pressureSince = -1
-			o.notify()
-			o.schedulePreempt() // more queued classes may still need room
-		})
-	})
 }

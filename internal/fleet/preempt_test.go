@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"testing"
-	"time"
 
 	"nymix/internal/core"
 	"nymix/internal/sim"
@@ -18,43 +17,62 @@ func testVaultDest(m *Member) core.VaultDest {
 	}
 }
 
-// preemptCfg arms preemption with a short dwell and a vault channel
-// for persistent evictions.
+// preemptCfg configures the vault channel durable victims are evicted
+// through.
 func preemptCfg() Config {
-	return Config{
-		Preempt: PreemptConfig{
-			Enabled:       true,
-			Dwell:         2 * time.Second,
-			VaultPassword: "fleet-pw",
-			DestFor:       testVaultDest,
-		},
-	}
+	return Config{Preempt: PreemptConfig{VaultPassword: "fleet-pw", DestFor: testVaultDest}}
 }
 
 // A 2 GiB host admits two 400 MiB nymboxes (0.9 headroom minus the
 // ~715 MiB hypervisor baseline), so a third launch queues — the
 // pressure every preemption test builds on.
 
+// fill launches specs and waits until all of them run.
+func fill(t *testing.T, p *sim.Proc, o *Orchestrator, sp []Spec) {
+	t.Helper()
+	if _, err := o.LaunchAll(sp); err != nil {
+		t.Fatalf("launch filler: %v", err)
+	}
+	if err := o.AwaitRunning(p, len(sp)); err != nil {
+		t.Fatalf("await filler: %v", err)
+	}
+}
+
+// queueSystem launches a System-class nym on the full host and checks
+// that it queues rather than admits.
+func queueSystem(t *testing.T, o *Orchestrator) *Member {
+	t.Helper()
+	m, err := o.Launch(Spec{Name: "sysnym", Opts: smallOpts(core.ModelEphemeral), Priority: PrioritySystem})
+	if err != nil {
+		t.Fatalf("launch system: %v", err)
+	}
+	if m.State() != StateQueued || o.QueuedLaunches() != 1 {
+		t.Fatalf("system nym %v with %d queued, want it parked in admission", m.State(), o.QueuedLaunches())
+	}
+	return m
+}
+
+// preemptForSystem queues a System-class launch, sacrifices one victim
+// for it, and waits until the launch runs.
+func preemptForSystem(t *testing.T, p *sim.Proc, o *Orchestrator) {
+	t.Helper()
+	m := queueSystem(t, o)
+	if freed := o.PreemptOne(p, PrioritySystem); freed != m.Footprint() {
+		t.Fatalf("PreemptOne freed %d bytes, want one %d-byte victim", freed, m.Footprint())
+	}
+	for m.State() != StateRunning && m.State() != StateFailed {
+		sim.Await(p, o.ChangeFuture())
+	}
+	if m.State() != StateRunning {
+		t.Fatalf("system nym %v (%v), want running after the preemption", m.State(), m.LastErr())
+	}
+}
+
 func TestPreemptionAdmitsHigherClass(t *testing.T) {
 	eng, o := newFleet(t, 31, 2<<30, preemptCfg())
 	run(t, eng, func(p *sim.Proc) {
-		if _, err := o.LaunchAll(specs(2, core.ModelEphemeral)); err != nil {
-			t.Fatalf("launch filler: %v", err)
-		}
-		if err := o.AwaitRunning(p, 2); err != nil {
-			t.Fatalf("await filler: %v", err)
-		}
-		sys := Spec{Name: "sysnym", Opts: smallOpts(core.ModelEphemeral), Priority: PrioritySystem}
-		m, err := o.Launch(sys)
-		if err != nil {
-			t.Fatalf("launch system: %v", err)
-		}
-		for m.State() != StateRunning && m.State() != StateFailed {
-			sim.Await(p, o.ChangeFuture())
-		}
-		if m.State() != StateRunning {
-			t.Fatalf("system nym %v (%v), want running via preemption", m.State(), m.LastErr())
-		}
+		fill(t, p, o, specs(2, core.ModelEphemeral))
+		preemptForSystem(t, p, o)
 	})
 	st := o.Preemptions()
 	if st.Terminated != 1 || st.Evicted != 0 {
@@ -82,29 +100,14 @@ func TestPreemptionOrderEphemeralBeforePersistent(t *testing.T) {
 		// the coldest; the ephemeral follows.
 		per := smallOpts(core.ModelPersistent)
 		per.GuardSeed = "oldtimer"
-		if _, err := o.Launch(Spec{Name: "oldtimer", Opts: per}); err != nil {
-			t.Fatalf("launch persistent: %v", err)
-		}
-		if err := o.AwaitRunning(p, 1); err != nil {
-			t.Fatalf("await persistent: %v", err)
-		}
+		fill(t, p, o, []Spec{{Name: "oldtimer", Opts: per}})
 		if _, err := o.Launch(Spec{Name: "drifter", Opts: smallOpts(core.ModelEphemeral)}); err != nil {
 			t.Fatalf("launch ephemeral: %v", err)
 		}
 		if err := o.AwaitRunning(p, 2); err != nil {
 			t.Fatalf("await both: %v", err)
 		}
-		sys := Spec{Name: "sysnym", Opts: smallOpts(core.ModelEphemeral), Priority: PrioritySystem}
-		m, err := o.Launch(sys)
-		if err != nil {
-			t.Fatalf("launch system: %v", err)
-		}
-		for m.State() != StateRunning && m.State() != StateFailed {
-			sim.Await(p, o.ChangeFuture())
-		}
-		if m.State() != StateRunning {
-			t.Fatalf("system nym %v, want running", m.State())
-		}
+		preemptForSystem(t, p, o)
 	})
 	if st := o.Preemptions(); st.Terminated != 1 || st.Evicted != 0 {
 		t.Fatalf("preemptions = %+v, want the ephemeral terminated and the persistent spared", st)
@@ -117,47 +120,72 @@ func TestPreemptionOrderEphemeralBeforePersistent(t *testing.T) {
 	}
 }
 
-// TestPreemptionEvictsPersistentThroughVault: when only persistent
-// members stand below a System launch, the victim is checkpointed to
-// the NymVault before its nymbox dies, so its durable identity
-// survives the eviction.
-func TestPreemptionEvictsPersistentThroughVault(t *testing.T) {
-	eng, o := newFleet(t, 35, 2<<30, preemptCfg())
+// evictAndRestore fills the host with two durable members, evicts one
+// for a System launch, then frees the room again and relaunches the
+// victim from its eviction checkpoint.
+func evictAndRestore(t *testing.T, seed uint64, model core.UsageModel) {
+	t.Helper()
+	eng, o := newFleet(t, seed, 2<<30, preemptCfg())
+	var victim *Member
 	run(t, eng, func(p *sim.Proc) {
-		if _, err := o.LaunchAll(specs(2, core.ModelPersistent)); err != nil {
-			t.Fatalf("launch filler: %v", err)
+		fill(t, p, o, specs(2, model))
+		preemptForSystem(t, p, o)
+		for _, m := range o.Members() {
+			if m.State() == StatePreempted {
+				victim = m
+			}
+		}
+		if victim == nil {
+			t.Fatal("no member ended preempted")
+		}
+		cp, ok := victim.Checkpoint()
+		if !ok {
+			t.Fatalf("evicted member %s has no vault checkpoint", victim.Name())
+		}
+		// The checkpoint is restorable: with the system nym gone, the
+		// victim boots again from the vault.
+		if err := o.Stop(p, "sysnym"); err != nil {
+			t.Fatalf("stop system: %v", err)
+		}
+		if err := o.Detach(victim.Name()); err != nil {
+			t.Fatalf("detach victim: %v", err)
+		}
+		back, err := o.LaunchRestored(victim.Spec(), cp)
+		if err != nil {
+			t.Fatalf("relaunch victim: %v", err)
 		}
 		if err := o.AwaitRunning(p, 2); err != nil {
-			t.Fatalf("await filler: %v", err)
+			t.Fatalf("await restored victim: %v", err)
 		}
-		sys := Spec{Name: "sysnym", Opts: smallOpts(core.ModelEphemeral), Priority: PrioritySystem}
-		m, err := o.Launch(sys)
-		if err != nil {
-			t.Fatalf("launch system: %v", err)
-		}
-		for m.State() != StateRunning && m.State() != StateFailed {
-			sim.Await(p, o.ChangeFuture())
-		}
-		if m.State() != StateRunning {
-			t.Fatalf("system nym %v, want running", m.State())
+		if back.State() != StateRunning || back.Nym().Model() != model {
+			t.Fatalf("restored victim %v, want a running %v nym", back.State(), model)
 		}
 	})
 	if st := o.Preemptions(); st.Terminated != 0 || st.Evicted != 1 {
 		t.Fatalf("preemptions = %+v, want exactly one vaulted eviction", st)
 	}
-	for _, m := range o.Members() {
-		if m.State() != StatePreempted {
-			continue
-		}
-		if _, ok := m.Checkpoint(); !ok {
-			t.Fatalf("evicted member %s has no vault checkpoint", m.Name())
-		}
-	}
+}
+
+// TestPreemptionEvictsPersistentThroughVault: when only persistent
+// members stand below a System launch, the victim is checkpointed to
+// the NymVault before its nymbox dies, so its durable identity
+// survives the eviction.
+func TestPreemptionEvictsPersistentThroughVault(t *testing.T) {
+	evictAndRestore(t, 35, core.ModelPersistent)
+}
+
+// TestPreemptionEvictsPreconfiguredThroughVault is the regression for
+// the durable-model gate: pre-configured nyms rank PriorityPersistent
+// and carry durable identity, so a preempted one must be vaulted and
+// counted as evicted — never terminated like an ephemeral.
+func TestPreemptionEvictsPreconfiguredThroughVault(t *testing.T) {
+	evictAndRestore(t, 39, core.ModelPreconfigured)
 }
 
 // TestNoPreemptionWithoutVictims: a System launch queued above only
-// same-or-higher classes must not arm the preemptor; the queue stalls
-// honestly and AwaitRunning errors instead of parking forever.
+// same-or-higher classes has no one to sacrifice. PreemptOne frees
+// nothing and kills nothing; the queue stalls honestly and
+// AwaitRunning errors instead of parking forever.
 func TestNoPreemptionWithoutVictims(t *testing.T) {
 	eng, o := newFleet(t, 37, 2<<30, preemptCfg())
 	var awaitErr error
@@ -166,14 +194,13 @@ func TestNoPreemptionWithoutVictims(t *testing.T) {
 		for i := range fillers {
 			fillers[i].Priority = PrioritySystem
 		}
-		if _, err := o.LaunchAll(fillers); err != nil {
-			t.Fatalf("launch filler: %v", err)
+		fill(t, p, o, fillers)
+		queueSystem(t, o)
+		if got := o.PreemptibleBytes(PrioritySystem); got != 0 {
+			t.Errorf("preemptible = %d bytes, want 0", got)
 		}
-		if err := o.AwaitRunning(p, 2); err != nil {
-			t.Fatalf("await filler: %v", err)
-		}
-		if _, err := o.Launch(Spec{Name: "third", Opts: smallOpts(core.ModelEphemeral), Priority: PrioritySystem}); err != nil {
-			t.Fatalf("launch third: %v", err)
+		if freed := o.PreemptOne(p, PrioritySystem); freed != 0 {
+			t.Errorf("PreemptOne freed %d bytes with no lower-class victim", freed)
 		}
 		awaitErr = o.AwaitRunning(p, 3)
 	})
@@ -183,43 +210,50 @@ func TestNoPreemptionWithoutVictims(t *testing.T) {
 	if st := o.Preemptions(); st.Total() != 0 {
 		t.Fatalf("preemptions = %+v, want none", st)
 	}
+	if o.Running() != 2 {
+		t.Fatalf("running = %d, want both fillers untouched", o.Running())
+	}
 }
 
-// TestPreemptionEvictsPreconfiguredThroughVault is the regression for
-// the durable-model gate: pre-configured nyms rank PriorityPersistent
-// and carry durable identity, so a preempted one must be vaulted and
-// counted as evicted — never terminated like an ephemeral.
-func TestPreemptionEvictsPreconfiguredThroughVault(t *testing.T) {
-	eng, o := newFleet(t, 39, 2<<30, preemptCfg())
-	run(t, eng, func(p *sim.Proc) {
-		pre := specs(2, core.ModelPreconfigured)
-		if _, err := o.LaunchAll(pre); err != nil {
-			t.Fatalf("launch filler: %v", err)
-		}
-		if err := o.AwaitRunning(p, 2); err != nil {
-			t.Fatalf("await filler: %v", err)
-		}
-		sys := Spec{Name: "sysnym", Opts: smallOpts(core.ModelEphemeral), Priority: PrioritySystem}
-		m, err := o.Launch(sys)
-		if err != nil {
-			t.Fatalf("launch system: %v", err)
-		}
-		for m.State() != StateRunning && m.State() != StateFailed {
-			sim.Await(p, o.ChangeFuture())
-		}
-		if m.State() != StateRunning {
-			t.Fatalf("system nym %v, want running", m.State())
-		}
-	})
-	if st := o.Preemptions(); st.Terminated != 0 || st.Evicted != 1 {
-		t.Fatalf("preemptions = %+v, want the preconfigured victim evicted, not terminated", st)
-	}
-	for _, m := range o.Members() {
-		if m.State() != StatePreempted {
-			continue
-		}
-		if _, ok := m.Checkpoint(); !ok {
-			t.Fatalf("evicted preconfigured member %s has no vault checkpoint", m.Name())
-		}
+// TestPreemptibleBytesExcludesDurableWithoutVault: with no vault
+// channel configured, durable members cannot be evicted, so they count
+// toward neither PreemptibleBytes nor PreemptOne's victims.
+func TestPreemptibleBytesExcludesDurableWithoutVault(t *testing.T) {
+	fp := smallOpts(core.ModelEphemeral).Footprint()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want int64
+	}{
+		{"no vault channel", Config{}, fp},
+		{"vault channel", preemptCfg(), 2 * fp},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, o := newFleet(t, 41, 2<<30, tc.cfg)
+			run(t, eng, func(p *sim.Proc) {
+				sp := specs(2, core.ModelEphemeral)
+				sp[0].Opts.Model = core.ModelPersistent
+				fill(t, p, o, sp)
+				if got := o.PreemptibleBytes(PrioritySystem); got != tc.want {
+					t.Errorf("preemptible = %d bytes, want %d", got, tc.want)
+				}
+				// Nothing ranks below the ephemeral class.
+				if got := o.PreemptibleBytes(PriorityEphemeral); got != 0 {
+					t.Errorf("preemptible below ephemeral = %d bytes, want 0", got)
+				}
+				if tc.want == 2*fp {
+					return
+				}
+				if freed := o.PreemptOne(p, PrioritySystem); freed != fp {
+					t.Errorf("first PreemptOne freed %d bytes, want the ephemeral's %d", freed, fp)
+				}
+				if freed := o.PreemptOne(p, PrioritySystem); freed != 0 {
+					t.Errorf("second PreemptOne freed %d bytes, want 0 with only a durable member left", freed)
+				}
+				if got := o.Member("nym00").State(); got != StateRunning {
+					t.Errorf("persistent member = %v, want still running", got)
+				}
+			})
+		})
 	}
 }

@@ -108,13 +108,3 @@ func (s *sem) admit() {
 
 // queued reports how many requests are waiting for capacity.
 func (s *sem) queued() int { return len(s.q) }
-
-// head returns the queued head's need and priority, or ok=false when
-// the queue is empty. The preemption machinery reads it to size the
-// deficit a pass must free.
-func (s *sem) head() (need int64, pri int, ok bool) {
-	if len(s.q) == 0 {
-		return 0, 0, false
-	}
-	return s.q[0].need, s.q[0].pri, true
-}

@@ -6,11 +6,11 @@ package fleet
 // fires on an interval, reads each nym's dirty state (plumbed up from
 // internal/vm through core.Nym), skips clean members entirely — no
 // upload, no login, no provider round trip — and backs off
-// exponentially while the orchestrator is under admission pressure or
-// a preemption pass is armed, so checkpointing never competes with
-// ramps or evictions for the wire and the chip.
+// exponentially while the orchestrator is under admission pressure,
+// so checkpointing never competes with ramps for the wire and the
+// chip.
 //
-// Unlike the KSM/preemption daemons, the sweep scheduler is
+// Unlike the KSM daemon, the sweep scheduler is
 // explicitly started and stopped (StartSweeps/StopSweeps): a periodic
 // checkpoint is open-ended work, so only the caller knows when the
 // fleet's useful life is over and the engine should drain.
@@ -38,15 +38,14 @@ type saveClaim struct{}
 
 // releaseClaim clears m's save claim if tok still holds it, waking
 // anyone parked on the flag. Releasing a claim another holder has
-// since taken is a no-op. The release also re-arms the preemption
-// daemon: victims() excludes saving members, so a pressure episode
-// that found every adequate victim mid-save disarmed itself and
-// nothing else would re-evaluate it — the freed member may be the
-// victim a parked launch is waiting on.
+// since taken is a no-op. The wake-up also reaches the cluster's host
+// watcher, which re-arms its preemption pass: victims() excludes
+// saving members, so a pass that found every adequate victim mid-save
+// stood down, and the freed member may be the victim a queued launch
+// is waiting on.
 func (o *Orchestrator) releaseClaim(m *Member, tok *saveClaim) {
 	if m.saving == tok {
 		m.saving = nil
-		o.schedulePreempt()
 		o.notify()
 	}
 }
@@ -99,8 +98,8 @@ type Cadence struct {
 
 // SweepConfig parameterizes the checkpoint sweep scheduler (and a
 // single SweepOnce pass). Zero values take defaults. Save launches
-// inside a pass are spaced by the orchestrator's SaveStagger with at
-// most SaveConcurrency in flight.
+// inside a pass are spaced saveStagger apart with at most
+// saveConcurrency in flight.
 type SweepConfig struct {
 	// Interval is the scheduler's firing period (default 30s).
 	Interval time.Duration
@@ -120,7 +119,7 @@ type SweepConfig struct {
 }
 
 // maxBackoff caps the exponential backoff applied while the
-// orchestrator is under admission pressure or preempting. It is also
+// orchestrator is under admission pressure. It is also
 // the staleness ceiling: once the delay is fully backed off, ticks
 // sweep even under pressure — pressure defers checkpoints, it never
 // cancels them, so a fleet pinned at capacity still checkpoints every
@@ -199,8 +198,8 @@ func (t SweepTally) DirtySkipRatio() float64 {
 type SweepRecord struct {
 	At      sim.Time      // when the pass started
 	Elapsed time.Duration // launch of first save to completion of last
-	// BackedOff marks a tick the scheduler skipped under admission or
-	// preemption pressure; all other fields are zero.
+	// BackedOff marks a tick the scheduler skipped under admission
+	// pressure; all other fields are zero.
 	BackedOff bool
 	SweepTally
 }
@@ -301,8 +300,8 @@ func nearestRank(sorted []time.Duration, q float64) time.Duration {
 // StartSweeps installs the checkpoint sweep scheduler: the first pass
 // fires one Interval from now and the scheduler re-arms after every
 // pass until StopSweeps. While the orchestrator is under admission
-// pressure (launches queued for RAM) or a preemption pass is armed or
-// in flight, ticks are skipped and the delay doubles up to four
+// pressure (launches queued for RAM or wire), ticks are skipped and
+// the delay doubles up to four
 // Intervals; once saturated, ticks sweep even under pressure (the
 // backoff ceiling is the checkpoint-staleness ceiling), and the first
 // calm tick resets the cadence.
@@ -341,14 +340,12 @@ func (o *Orchestrator) AwaitSweepsIdle(p *sim.Proc) {
 	}
 }
 
-// underSavePressure reports the conditions under which the scheduler
+// underSavePressure reports the condition under which the scheduler
 // stands aside: launches queued for RAM or wire admission (a ramp or
 // migration wants the wire and the chip first; cover-traffic budgets
-// count too) or the preemption machinery armed or mid-pass
-// (checkpointing a victim it is about to evict would race the
-// eviction's own save).
+// count too).
 func (o *Orchestrator) underSavePressure() bool {
-	return o.ram.queued() > 0 || o.wire.queued() > 0 || o.preemptArmed || o.preempting
+	return o.ram.queued() > 0 || o.wire.queued() > 0
 }
 
 // sweepTick is one scheduler firing.
@@ -482,7 +479,7 @@ func (o *Orchestrator) runSweep(p *sim.Proc, cfg SweepConfig) (SweepRecord, erro
 	o.opStarted()
 	defer o.opDone()
 	rec := SweepRecord{At: p.Now()}
-	gate := newSem(o.eng, int64(o.cfg.SaveConcurrency))
+	gate := newSem(o.eng, saveConcurrency)
 	var futs []*sim.Future[core.SaveResult]
 	var saved []*Member
 	var dests []core.VaultDest
@@ -518,7 +515,7 @@ func (o *Orchestrator) runSweep(p *sim.Proc, cfg SweepConfig) (SweepRecord, erro
 			continue
 		}
 		if !first {
-			p.Sleep(o.cfg.SaveStagger)
+			p.Sleep(saveStagger)
 		}
 		first = false
 		sim.Await(p, gate.reserve(1))

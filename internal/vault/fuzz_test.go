@@ -160,7 +160,7 @@ func FuzzSealManifest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("seal: %v", err)
 		}
-		got, err := openManifest(blob.Data, password, name)
+		got, err := openManifest(blob.Data, ks, name)
 		if err != nil {
 			t.Fatalf("round trip: %v", err)
 		}
@@ -172,7 +172,7 @@ func FuzzSealManifest(f *testing.F) {
 		}
 
 		// Wrong password fails closed as vault.bad_password.
-		_, err = openManifest(blob.Data, password+"x", name)
+		_, err = openManifest(blob.Data, deriveKeys(password+"x", name), name)
 		if nymerr.Classify(err) != CodeBadPassword {
 			t.Fatalf("wrong password classified %q, want %s", nymerr.Classify(err), CodeBadPassword)
 		}
@@ -185,7 +185,7 @@ func FuzzSealManifest(f *testing.F) {
 			if n >= len(blob.Data) {
 				continue
 			}
-			_, err := openManifest(blob.Data[:n], password, name)
+			_, err := openManifest(blob.Data[:n], ks, name)
 			failsClosedTyped(t, err)
 		}
 
@@ -197,7 +197,7 @@ func FuzzSealManifest(f *testing.F) {
 		}
 		i %= len(mut)
 		mut[i] ^= 1 << (uint(flip) % 8)
-		_, err = openManifest(mut, password, name)
+		_, err = openManifest(mut, ks, name)
 		failsClosedTyped(t, err)
 	})
 }
@@ -207,8 +207,9 @@ func FuzzSealManifest(f *testing.F) {
 // a typed vault.bad_password or vault.tampered code.
 func FuzzOpenManifest(f *testing.F) {
 	fuzzSeedCorpus(f)
+	ks := deriveKeys("fuzz-pw", "fuzz-nym")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		man, err := openManifest(data, "fuzz-pw", "fuzz-nym")
+		man, err := openManifest(data, ks, "fuzz-nym")
 		if err != nil {
 			failsClosedTyped(t, err)
 			return

@@ -107,8 +107,7 @@ type Manifest struct {
 // one key for sealing chunks and the manifest, one for addressing.
 // Every address and chunk nonce is an HMAC under mac; prf is that one
 // keyed HMAC, Reset per digest, and buf its reusable input and output
-// scratch. A keys value serves one Save, Load or manifest open on one
-// goroutine.
+// scratch. A keys value serves one Save, Load or GC on one goroutine.
 type keys struct {
 	enc []byte
 	mac []byte
@@ -547,8 +546,10 @@ func (v *Store) Save(p *sim.Proc, st *nymstate.State, password string, sessions 
 // password cannot open any (a fresh nym, or rotated credentials).
 // The returned error distinguishes "no manifest anywhere" from "a
 // manifest exists but the password cannot open it"; wire reports the
-// manifest bytes downloaded while looking.
-func (v *Store) latestManifest(p *sim.Proc, password string, sessions []*cloud.Session) (man *Manifest, wire int64, err error) {
+// manifest bytes downloaded while looking. Every copy opens under the
+// caller's ks, so one probe costs one key derivation however many
+// providers hold a copy.
+func (v *Store) latestManifest(p *sim.Proc, ks *keys, sessions []*cloud.Session) (man *Manifest, wire int64, err error) {
 	var best *Manifest
 	var openErr, fetchErr error
 	for _, sess := range sessions {
@@ -563,7 +564,7 @@ func (v *Store) latestManifest(p *sim.Proc, password string, sessions []*cloud.S
 			continue
 		}
 		wire += blob.WireSize
-		m, err := openManifest(blob.Data, password, v.name)
+		m, err := openManifest(blob.Data, ks, v.name)
 		if err != nil {
 			openErr = err
 			continue
@@ -612,7 +613,7 @@ func (v *Store) Load(p *sim.Proc, password string, sessions []*cloud.Session) (*
 	// Manifest: consult every reachable provider and restore the
 	// highest sequence number, so a single stale or rolled-back
 	// provider cannot silently win.
-	man, manWire, err := v.latestManifest(p, password, sessions)
+	man, manWire, err := v.latestManifest(p, ks, sessions)
 	stats.DownloadedBytes += manWire
 	if err != nil {
 		return nil, stats, err
@@ -802,7 +803,7 @@ func (v *Store) GC(p *sim.Proc, password string, sessions []*cloud.Session) (GCS
 	if len(sessions) == 0 {
 		return GCStats{}, ErrNoSessions
 	}
-	man, manWire, err := v.latestManifest(p, password, sessions)
+	man, manWire, err := v.latestManifest(p, deriveKeys(password, v.name), sessions)
 	if err != nil {
 		return GCStats{ManifestBytes: manWire}, err
 	}
@@ -903,10 +904,10 @@ func sealManifest(man *Manifest, ks *keys, rnd nymstate.RandSource) (cloud.Blob,
 	return cloud.Blob{Data: data, WireSize: int64(len(data))}, nil
 }
 
-// openManifest reverses sealManifest; a wrong password fails
-// authentication with nymstate.ErrBadPassword.
-func openManifest(data []byte, password, name string) (*Manifest, error) {
-	ks := deriveKeys(password, name)
+// openManifest reverses sealManifest under the keys derived for name;
+// keys from a wrong password fail authentication with
+// nymstate.ErrBadPassword.
+func openManifest(data []byte, ks *keys, name string) (*Manifest, error) {
 	gcm, err := ks.aead()
 	if err != nil {
 		return nil, err
