@@ -31,10 +31,11 @@
 //     the sum of serial starts.
 //   - KSM pacing. Host capacity is enforced at page-write time,
 //     before the KSM scanner has had a chance to merge identical
-//     base-image pages across VMs. The orchestrator runs a merge
-//     daemon while operations are in flight so a large ramp's
-//     transient private pages are folded back into shared frames
-//     instead of tripping the host's out-of-memory wall.
+//     base-image pages across VMs. While operations are in flight the
+//     orchestrator runs a merge daemon whose every tick drains the
+//     whole scan queue, so a large ramp's transient private pages are
+//     folded back into shared frames instead of tripping the host's
+//     out-of-memory wall.
 //   - Supervision. Each nym fails independently: a failed launch or a
 //     crashed nymbox releases its reservation and is restarted under
 //     the fleet's restart policy, with backoff, until its restart

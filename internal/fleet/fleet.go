@@ -40,10 +40,8 @@ const (
 	saveStagger     = 250 * time.Millisecond
 	saveConcurrency = 4
 	// ksmInterval is the merge daemon's period while fleet operations
-	// are in flight; ksmBudget is its page budget per tick (<0 drains
-	// the scan queue).
+	// are in flight; every tick drains the whole scan queue.
 	ksmInterval = 100 * time.Millisecond
-	ksmBudget   = -1
 )
 
 // Config parameterizes an Orchestrator. The zero value never
@@ -1016,9 +1014,10 @@ func (o *Orchestrator) needsKSM() bool {
 // flight. Capacity is enforced at page-write time, before merging;
 // without this daemon a hundred-nym ramp would hit the host's
 // out-of-memory wall on pages that are 90% mergeable base image. The
-// daemon re-arms on every state transition and op start, and stops
-// (with a final drain) as soon as nothing needs it, so an idle or
-// starved fleet leaves the event queue empty.
+// daemon re-arms on every state transition and op start, and each
+// tick drains the whole scan queue; it stops after the first tick at
+// which nothing needs it, so an idle or starved fleet leaves the event
+// queue empty.
 func (o *Orchestrator) scheduleKSM() {
 	if o.ksmScheduled || !o.needsKSM() {
 		return
@@ -1027,12 +1026,11 @@ func (o *Orchestrator) scheduleKSM() {
 	o.eng.Schedule(ksmInterval, func() {
 		o.ksmScheduled = false
 		o.sampleRAM() // capture the pre-merge spike
-		o.mgr.Host().KSMScan(ksmBudget)
+		o.mgr.Host().Mem().ScanAll()
 		if o.needsKSM() {
 			o.scheduleKSM()
 			return
 		}
-		o.mgr.Host().Mem().ScanAll()
 		o.sampleRAM()
 	})
 }

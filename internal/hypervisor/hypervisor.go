@@ -303,9 +303,6 @@ func (h *Host) MoveFile(from *vm.VM, fromPath string, to *vm.VM, toPath string) 
 	return nil
 }
 
-// KSMScan runs one bounded KSM pass (budget pages; negative drains).
-func (h *Host) KSMScan(budget int) int { return h.mem.Scan(budget) }
-
 // MemStats returns the host memory snapshot after letting KSM catch
 // up, which is how the Figure 3 measurements are taken.
 func (h *Host) MemStats() mem.Stats {

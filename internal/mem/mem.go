@@ -9,6 +9,10 @@
 // a 64-bit content hash. Pages written from the same content class
 // (for example, the same base-image block) hash equally across address
 // spaces and are therefore mergeable, exactly the property KSM keys on.
+//
+// Every scan drains the whole queue, and the stable tree is a refcount
+// per content hash: a merged page holds one reference on its content's
+// entry, and each entry is one physical frame.
 package mem
 
 import (
@@ -24,32 +28,25 @@ const PageSize = 4096
 // host's physical capacity.
 var ErrOutOfMemory = errors.New("mem: out of host memory")
 
-// frame is one physical page frame tracked by the KSM stable tree.
-// refs counts the logical pages currently backed by this frame.
-type frame struct {
-	hash uint64
-	refs int64
-}
-
 // page is one logical page in a Space.
 type page struct {
-	hash uint64
-	f    *frame // nil until the KSM scanner has processed the page
-	gen  uint64 // bumped on every write; invalidates queued scans
+	hash   uint64
+	merged bool // holds a reference in the stable tree
 }
 
-// pageRef identifies a logical page awaiting a KSM scan.
+// pageRef identifies a logical page awaiting a KSM scan. A page
+// rewritten before the scan is queued again; whichever entry the scan
+// reaches first merges it and the later one finds it already merged.
 type pageRef struct {
 	space *Space
 	idx   int64
-	gen   uint64
 }
 
 // Host models a machine's physical memory and its KSM daemon state.
 type Host struct {
 	capacity int64 // bytes; 0 means unlimited
 	spaces   map[string]*Space
-	stable   map[uint64]*frame
+	stable   map[uint64]int64 // content hash -> logical pages sharing its frame
 	pending  []pageRef
 	// framesPrivate counts logical pages not yet absorbed into the
 	// stable tree; each occupies its own physical frame.
@@ -65,7 +62,7 @@ func NewHost(capacity int64) *Host {
 	return &Host{
 		capacity: capacity,
 		spaces:   make(map[string]*Space),
-		stable:   make(map[uint64]*frame),
+		stable:   make(map[uint64]int64),
 	}
 }
 
@@ -79,7 +76,7 @@ func (h *Host) NewSpace(name string) (*Space, error) {
 	if _, ok := h.spaces[name]; ok {
 		return nil, fmt.Errorf("mem: space %q already exists", name)
 	}
-	s := &Space{host: h, name: name, pages: make(map[int64]*page)}
+	s := &Space{host: h, name: name, pages: make(map[int64]page)}
 	h.spaces[name] = s
 	return s, nil
 }
@@ -91,15 +88,6 @@ func (h *Host) Space(name string) *Space { return h.spaces[name] }
 // page plus one frame per stable-tree entry (shared or not).
 func (h *Host) UsedBytes() int64 {
 	return (h.framesPrivate + int64(len(h.stable))) * PageSize
-}
-
-// FreeBytes returns remaining capacity, or a very large number when the
-// host is uncapped.
-func (h *Host) FreeBytes() int64 {
-	if h.capacity == 0 {
-		return 1 << 62
-	}
-	return h.capacity - h.UsedBytes()
 }
 
 // Stats is a snapshot of the host's memory accounting, mirroring the
@@ -118,11 +106,11 @@ type Stats struct {
 // Stats returns the current accounting snapshot.
 func (h *Host) Stats() Stats {
 	var shared, sharing, saved int64
-	for _, f := range h.stable {
-		if f.refs >= 2 {
+	for _, refs := range h.stable {
+		if refs >= 2 {
 			shared++
-			sharing += f.refs
-			saved += (f.refs - 1) * PageSize
+			sharing += refs
+			saved += (refs - 1) * PageSize
 		}
 	}
 	return Stats{
@@ -137,45 +125,34 @@ func (h *Host) Stats() Stats {
 	}
 }
 
-// Scan runs the KSM scanner over up to maxPages queued pages and
-// returns the number of pages merged into existing frames. Pass a
-// negative maxPages to drain the queue.
-func (h *Host) Scan(maxPages int) int {
+// ScanAll runs the KSM scanner over the whole queue and returns the
+// number of pages merged into existing frames.
+func (h *Host) ScanAll() int {
 	mergedNow := 0
-	processed := 0
-	for len(h.pending) > 0 && (maxPages < 0 || processed < maxPages) {
-		ref := h.pending[0]
-		h.pending = h.pending[1:]
+	for _, ref := range h.pending {
 		pg, ok := ref.space.pages[ref.idx]
-		if !ok || pg.gen != ref.gen || pg.f != nil {
-			continue // page freed, rewritten, or already scanned
+		if !ok || pg.merged {
+			continue // page released or already scanned
 		}
-		processed++
-		if f, ok := h.stable[pg.hash]; ok {
-			f.refs++
-			pg.f = f
-			h.framesPrivate--
+		if h.stable[pg.hash] > 0 {
 			h.merged++
 			mergedNow++
-			continue
 		}
-		f := &frame{hash: pg.hash, refs: 1}
-		h.stable[pg.hash] = f
-		pg.f = f
+		h.stable[pg.hash]++
+		pg.merged = true
+		ref.space.pages[ref.idx] = pg
 		h.framesPrivate--
 	}
+	h.pending = nil
 	return mergedNow
 }
-
-// ScanAll drains the scan queue, returning total pages merged.
-func (h *Host) ScanAll() int { return h.Scan(-1) }
 
 // Space is one address space (a VM's RAM plus its RAM-backed writable
 // disk, since Nymix VMs store all file-system writes in host RAM).
 type Space struct {
 	host   *Host
 	name   string
-	pages  map[int64]*page
+	pages  map[int64]page
 	nextUn uint64 // counter for unique (never-mergeable) content
 	dead   bool
 }
@@ -249,58 +226,46 @@ func (s *Space) write(start, n int64, content func(i int64) uint64) error {
 				continue // idempotent rewrite of identical content
 			}
 			s.detach(pg)
-			pg.hash = hash
-			pg.gen++
-			h.pending = append(h.pending, pageRef{s, idx, pg.gen})
-			continue
+		} else {
+			if h.capacity != 0 && h.UsedBytes()+PageSize > h.capacity {
+				return fmt.Errorf("%w: space %q at %d pages", ErrOutOfMemory, s.name, len(s.pages))
+			}
+			h.framesPrivate++
 		}
-		if h.capacity != 0 && h.UsedBytes()+PageSize > h.capacity {
-			return fmt.Errorf("%w: space %q at %d pages", ErrOutOfMemory, s.name, len(s.pages))
-		}
-		pg = &page{hash: hash}
-		s.pages[idx] = pg
-		h.framesPrivate++
-		h.pending = append(h.pending, pageRef{s, idx, pg.gen})
+		s.pages[idx] = page{hash: hash}
+		h.pending = append(h.pending, pageRef{s, idx})
 	}
 	return nil
 }
 
-// detach disconnects a page from its stable frame (a copy-on-write
-// break when the frame was shared). Afterwards the page is in the
-// private state and counted in framesPrivate; detaching an
-// already-private page is a no-op.
-func (s *Space) detach(pg *page) {
-	if pg.f == nil {
+// detach drops a page's reference on its stable-tree entry (a
+// copy-on-write break when the frame was shared) and counts the page
+// in framesPrivate again; detaching an unmerged page is a no-op. The
+// caller overwrites or deletes the page.
+func (s *Space) detach(pg page) {
+	if !pg.merged {
 		return
 	}
 	h := s.host
-	if pg.f.refs >= 2 {
+	if refs := h.stable[pg.hash]; refs >= 2 {
 		h.cowBreaks++
+		h.stable[pg.hash] = refs - 1
+	} else {
+		delete(h.stable, pg.hash)
 	}
-	pg.f.refs--
-	if pg.f.refs == 0 {
-		delete(h.stable, pg.f.hash)
-	}
-	pg.f = nil
 	h.framesPrivate++
-}
-
-// Free releases n pages starting at start. Missing pages are skipped.
-func (s *Space) Free(start, n int64) {
-	for i := int64(0); i < n; i++ {
-		if pg, ok := s.pages[start+i]; ok {
-			s.detach(pg)
-			s.host.framesPrivate--
-			delete(s.pages, start+i)
-		}
-	}
 }
 
 // Release securely erases and frees the entire space, as Nymix does
 // when a pseudonym is shut down: "Nymix wipes any traces that the
 // pseudonym ever existed and securely erases the AnonVM's and
-// CommVM's memory immediately" (section 3.4).
+// CommVM's memory immediately" (section 3.4). Releasing an already
+// released space is a no-op, so a stale handle cannot unregister a
+// newer space of the same name.
 func (s *Space) Release() {
+	if s.dead {
+		return
+	}
 	h := s.host
 	for idx, pg := range s.pages {
 		s.detach(pg)

@@ -126,23 +126,6 @@ func TestIdempotentRewriteKeepsSharing(t *testing.T) {
 	}
 }
 
-func TestScanBudgetRespected(t *testing.T) {
-	h := NewHost(0)
-	a := mustSpace(t, h, "a")
-	b := mustSpace(t, h, "b")
-	a.WriteClass(0, 100, "base", 0)
-	b.WriteClass(0, 100, "base", 0)
-	h.Scan(100) // scans a's pages into the stable tree, no merges yet
-	st := h.Stats()
-	if st.PendingScan != 100 {
-		t.Fatalf("pending = %d, want 100", st.PendingScan)
-	}
-	merged := h.Scan(40)
-	if merged != 40 {
-		t.Fatalf("merged = %d, want 40", merged)
-	}
-}
-
 func TestFreeReleasesFrames(t *testing.T) {
 	h := NewHost(0)
 	a := mustSpace(t, h, "a")
@@ -150,7 +133,7 @@ func TestFreeReleasesFrames(t *testing.T) {
 	a.WriteClass(0, 10, "base", 0)
 	b.WriteClass(0, 10, "base", 0)
 	h.ScanAll()
-	a.Free(0, 10)
+	a.Release()
 	if a.TouchedPages() != 0 {
 		t.Fatalf("a still has pages")
 	}
@@ -158,9 +141,17 @@ func TestFreeReleasesFrames(t *testing.T) {
 	if h.UsedBytes() != 10*PageSize {
 		t.Fatalf("used = %d, want %d", h.UsedBytes(), 10*PageSize)
 	}
-	b.Free(0, 10)
+	if len(h.stable) != 10 {
+		t.Fatalf("stable tree has %d entries, want 10", len(h.stable))
+	}
+	for hash, refs := range h.stable {
+		if refs != 1 {
+			t.Fatalf("frame %x has %d refs, want 1", hash, refs)
+		}
+	}
+	b.Release()
 	if h.UsedBytes() != 0 {
-		t.Fatalf("used = %d after all frees", h.UsedBytes())
+		t.Fatalf("used = %d after both releases", h.UsedBytes())
 	}
 	if len(h.stable) != 0 {
 		t.Fatalf("stable tree not empty: %d", len(h.stable))
@@ -186,6 +177,24 @@ func TestReleaseScrubsAndFrees(t *testing.T) {
 	}
 	if err := a.WriteZero(0, 1); err == nil {
 		t.Fatal("write to released space succeeded")
+	}
+}
+
+func TestReleaseOnStaleHandleKeepsNewSpace(t *testing.T) {
+	h := NewHost(0)
+	a := mustSpace(t, h, "a")
+	a.Release()
+	b := mustSpace(t, h, "a")
+	b.WriteClass(0, 5, "base", 0)
+	a.Release()
+	if h.Space("a") != b {
+		t.Fatal("releasing a stale handle unregistered the live space")
+	}
+	if _, err := h.NewSpace("a"); err == nil {
+		t.Fatal("second space named a created beside a live one")
+	}
+	if b.TouchedPages() != 5 || h.UsedBytes() != 5*PageSize {
+		t.Fatalf("live space lost pages: touched %d, used %d", b.TouchedPages(), h.UsedBytes())
 	}
 }
 
@@ -284,8 +293,8 @@ func TestPropertyMergePreservesLogicalPages(t *testing.T) {
 	}
 }
 
-// Property: free/release always returns the host to zero usage, and
-// shared accounting never goes negative along the way.
+// Property: release always returns the host to zero usage, and shared
+// accounting never goes negative along the way.
 func TestPropertyReleaseAlwaysDrains(t *testing.T) {
 	f := func(ops []uint16) bool {
 		h := NewHost(0)
@@ -294,7 +303,8 @@ func TestPropertyReleaseAlwaysDrains(t *testing.T) {
 			spaces[i], _ = h.NewSpace(string(rune('a' + i)))
 		}
 		for _, op := range ops {
-			s := spaces[int(op)%len(spaces)]
+			i := int(op) % len(spaces)
+			s := spaces[i]
 			start := int64(op>>2) % 32
 			n := int64(op>>7)%16 + 1
 			switch (op >> 11) % 4 {
@@ -305,10 +315,11 @@ func TestPropertyReleaseAlwaysDrains(t *testing.T) {
 			case 2:
 				s.WriteUnique(start, n)
 			case 3:
-				s.Free(start, n)
+				s.Release()
+				spaces[i], _ = h.NewSpace(s.Name())
 			}
 			if (op>>13)%5 == 0 {
-				h.Scan(int(op % 64))
+				h.ScanAll()
 			}
 			st := h.Stats()
 			if st.PagesShared < 0 || st.PagesSharing < 0 || st.SavedBytes < 0 || st.UsedBytes < 0 {
@@ -330,4 +341,29 @@ func min64(a, b int64) int64 {
 		return a
 	}
 	return b
+}
+
+// BenchmarkNymboxBoot boots two Figure-3-sized AnonVM spaces (the
+// guestos AnonVM boot profile on 384 MiB of RAM: base image, zero pool
+// and private pages), merges them through a full scan, and releases
+// both.
+func BenchmarkNymboxBoot(b *testing.B) {
+	const (
+		basePages   = 6400
+		zeroPages   = 2048
+		uniquePages = (384<<20/PageSize - basePages - zeroPages) * 86 / 100
+	)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h := NewHost(0)
+		for _, name := range []string{"anon", "comm"} {
+			s, _ := h.NewSpace(name)
+			s.WriteClass(0, basePages, "base", 0)
+			s.WriteZero(basePages, zeroPages)
+			s.WriteUnique(basePages+zeroPages, uniquePages)
+		}
+		h.ScanAll()
+		h.Space("anon").Release()
+		h.Space("comm").Release()
+	}
 }
