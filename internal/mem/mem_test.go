@@ -137,24 +137,25 @@ func TestFreeReleasesFrames(t *testing.T) {
 	if a.TouchedPages() != 0 {
 		t.Fatalf("a still has pages")
 	}
-	// b's pages still exist; frames survive with refs=1.
-	if h.UsedBytes() != 10*PageSize {
-		t.Fatalf("used = %d, want %d", h.UsedBytes(), 10*PageSize)
+	// b's pages still exist; its 10 frames survive with refs=1 each:
+	// 10 frames for 10 logical pages, none of them shared.
+	st := h.Stats()
+	if st.UsedBytes != 10*PageSize || b.TouchedPages() != 10 {
+		t.Fatalf("used = %d for %d pages, want %d for 10", st.UsedBytes, b.TouchedPages(), 10*PageSize)
 	}
-	if len(h.stable) != 10 {
-		t.Fatalf("stable tree has %d entries, want 10", len(h.stable))
-	}
-	for hash, refs := range h.stable {
-		if refs != 1 {
-			t.Fatalf("frame %x has %d refs, want 1", hash, refs)
-		}
+	if st.PagesShared != 0 || st.PagesSharing != 0 || st.SavedBytes != 0 {
+		t.Fatalf("frames still shared after a's release: %+v", st)
 	}
 	b.Release()
-	if h.UsedBytes() != 0 {
-		t.Fatalf("used = %d after both releases", h.UsedBytes())
+	st = h.Stats()
+	if st.UsedBytes != 0 || st.PagesShared != 0 || st.PagesSharing != 0 {
+		t.Fatalf("stable tree not empty after both releases: %+v", st)
 	}
-	if len(h.stable) != 0 {
-		t.Fatalf("stable tree not empty: %d", len(h.stable))
+	// A fresh copy of the same content finds no frame left to merge into.
+	c := mustSpace(t, h, "c")
+	c.WriteClass(0, 10, "base", 0)
+	if merged := h.ScanAll(); merged != 0 || h.UsedBytes() != 10*PageSize {
+		t.Fatalf("stale frames: merged %d, used %d", merged, h.UsedBytes())
 	}
 }
 
@@ -259,6 +260,32 @@ func TestStaleScanEntriesSkipped(t *testing.T) {
 	}
 }
 
+// A booted space plus DirtyPages-style one-page unique appends, with
+// KSM scans between them, stays a handful of extents: the appends
+// coalesce with the unique range before them whether merged or not.
+func TestUniqueAppendsCoalesce(t *testing.T) {
+	h := NewHost(0)
+	s := mustSpace(t, h, "vm")
+	s.WriteClass(0, 6400, "baseimg", 0)
+	s.WriteZero(6400, 2048)
+	s.WriteUnique(8448, 1000)
+	s.WriteUnique(20000, 500) // RAM-backed disk beyond the RAM pages
+	h.ScanAll()
+	for i := int64(0); i < 64; i++ {
+		s.WriteUnique(9448+i, 1)
+		if i%8 == 7 {
+			h.ScanAll()
+		}
+	}
+	h.ScanAll()
+	if len(s.ext) > 4 {
+		t.Fatalf("%d extents after 64 appends, want <= 4: %+v", len(s.ext), s.ext)
+	}
+	if s.TouchedPages() != 6400+2048+1000+64+500 {
+		t.Fatalf("touched = %d", s.TouchedPages())
+	}
+}
+
 // Property: for any interleaving of identical-class writes across
 // spaces, after a full scan, used frames equal the number of distinct
 // (class offset) hashes, and logical bytes are conserved.
@@ -329,7 +356,17 @@ func TestPropertyReleaseAlwaysDrains(t *testing.T) {
 		for _, s := range spaces {
 			s.Release()
 		}
-		return h.UsedBytes() == 0 && len(h.stable) == 0 && h.framesPrivate == 0
+		if st := h.Stats(); st.UsedBytes != 0 || st.PagesShared != 0 || st.PagesSharing != 0 || st.SavedBytes != 0 {
+			return false
+		}
+		// The stable tree is empty: every content the ops could have
+		// written finds no frame to merge into, and each new page costs
+		// exactly one frame.
+		p, _ := h.NewSpace("probe")
+		p.WriteClass(0, 48, "base", 0)
+		p.WriteZero(48, 1)
+		p.WriteUnique(49, 1)
+		return h.ScanAll() == 0 && h.UsedBytes() == 50*PageSize
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -213,6 +213,96 @@ func (s *refSpace) Release() {
 	delete(h.spaces, s.name)
 }
 
+// diffOp is one step of the differential test: a write, a release
+// and re-creation, or a full scan, on one of the spaces diffNames.
+type diffOp struct {
+	kind     int
+	space    int
+	start, n int64
+	class    string
+	base     int64
+}
+
+const (
+	opWriteClass = iota
+	opWriteZero
+	opWriteUnique
+	opRecreate
+	opScanAll
+)
+
+var (
+	diffNames   = []string{"a", "b", "c"}
+	diffClasses = []string{"base", "lib"} // overlapping offsets, distinct content
+)
+
+// differential is a Host and a refHost driven in lockstep.
+type differential struct {
+	h      *Host
+	ref    *refHost
+	spaces []*Space
+	refs   []*refSpace
+}
+
+func newDifferential(capacity int64) *differential {
+	d := &differential{h: NewHost(capacity), ref: newRefHost(capacity)}
+	for _, name := range diffNames {
+		s, _ := d.h.NewSpace(name)
+		r, _ := d.ref.NewSpace(name)
+		d.spaces, d.refs = append(d.spaces, s), append(d.refs, r)
+	}
+	return d
+}
+
+// step applies op to both models and fails t, naming the step by at,
+// unless the write error text, ScanAll's return, the full Stats and
+// every space's TouchedBytes agree afterwards.
+func (d *differential) step(t *testing.T, at string, op diffOp) {
+	t.Helper()
+	i, name := op.space, diffNames[op.space]
+	s, r := d.spaces[i], d.refs[i]
+	var desc string
+	var got, want error
+	switch op.kind {
+	case opWriteClass:
+		desc = fmt.Sprintf("%s.WriteClass(%d, %d, %q, %d)", name, op.start, op.n, op.class, op.base)
+		got, want = s.WriteClass(op.start, op.n, op.class, op.base), r.WriteClass(op.start, op.n, op.class, op.base)
+	case opWriteZero:
+		desc = fmt.Sprintf("%s.WriteZero(%d, %d)", name, op.start, op.n)
+		got, want = s.WriteZero(op.start, op.n), r.WriteZero(op.start, op.n)
+	case opWriteUnique:
+		desc = fmt.Sprintf("%s.WriteUnique(%d, %d)", name, op.start, op.n)
+		got, want = s.WriteUnique(op.start, op.n), r.WriteUnique(op.start, op.n)
+	case opRecreate:
+		desc = name + ".Release+NewSpace"
+		s.Release()
+		r.Release()
+		var err error
+		if d.spaces[i], err = d.h.NewSpace(name); err != nil {
+			t.Fatalf("%s %s: %v", at, desc, err)
+		}
+		if d.refs[i], err = d.ref.NewSpace(name); err != nil {
+			t.Fatalf("%s %s: reference: %v", at, desc, err)
+		}
+	default:
+		desc = "ScanAll"
+		if g, w := d.h.ScanAll(), d.ref.ScanAll(); g != w {
+			t.Fatalf("%s %s: merged %d, reference %d", at, desc, g, w)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s %s: err %v, reference %v", at, desc, got, want)
+	}
+	if g, w := d.h.Stats(), d.ref.Stats(); g != w {
+		t.Fatalf("%s %s: stats\n got %+v\nwant %+v", at, desc, g, w)
+	}
+	for j, name := range diffNames {
+		if g, w := d.spaces[j].TouchedBytes(), d.refs[j].TouchedBytes(); g != w {
+			t.Fatalf("%s %s: %s touched %d, reference %d", at, desc, name, g, w)
+		}
+	}
+}
+
 // TestDifferentialAgainstReference drives Host and refHost through the
 // same seeded random sequence of writes (two overlapping classes, zero
 // and unique ranges, rewrites onto merged pages), releases and
@@ -220,68 +310,83 @@ func (s *refSpace) Release() {
 // compares every observable result after each step.
 func TestDifferentialAgainstReference(t *testing.T) {
 	const seeds, steps = 300, 150
-	names := []string{"a", "b", "c"}
-	classes := []string{"base", "lib"}
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var capacity int64
 		if seed%3 == 0 {
 			capacity = int64(40+rng.Intn(80)) * PageSize
 		}
-		h, ref := NewHost(capacity), newRefHost(capacity)
-		spaces := make([]*Space, len(names))
-		refs := make([]*refSpace, len(names))
-		for i, name := range names {
-			spaces[i], _ = h.NewSpace(name)
-			refs[i], _ = ref.NewSpace(name)
-		}
+		d := newDifferential(capacity)
 		for step := 0; step < steps; step++ {
-			i := rng.Intn(len(names))
-			s, r := spaces[i], refs[i]
-			start := int64(rng.Intn(48))
-			n := int64(rng.Intn(16) + 1)
-			var op string
-			var got, want error
+			op := diffOp{space: rng.Intn(len(diffNames)), start: int64(rng.Intn(48)), n: int64(rng.Intn(16) + 1)}
 			switch k := rng.Intn(10); {
 			case k < 4:
-				class := classes[rng.Intn(len(classes))]
-				base := int64(rng.Intn(24))
-				op = fmt.Sprintf("%s.WriteClass(%d, %d, %q, %d)", names[i], start, n, class, base)
-				got, want = s.WriteClass(start, n, class, base), r.WriteClass(start, n, class, base)
+				op.kind = opWriteClass
+				op.class = diffClasses[rng.Intn(len(diffClasses))]
+				op.base = int64(rng.Intn(24))
 			case k < 5:
-				op = fmt.Sprintf("%s.WriteZero(%d, %d)", names[i], start, n)
-				got, want = s.WriteZero(start, n), r.WriteZero(start, n)
+				op.kind = opWriteZero
 			case k < 7:
-				op = fmt.Sprintf("%s.WriteUnique(%d, %d)", names[i], start, n)
-				got, want = s.WriteUnique(start, n), r.WriteUnique(start, n)
+				op.kind = opWriteUnique
 			case k < 8:
-				op = fmt.Sprintf("%s.Release+NewSpace", names[i])
-				s.Release()
-				r.Release()
-				var err error
-				if spaces[i], err = h.NewSpace(names[i]); err != nil {
-					t.Fatalf("seed %d step %d: %v", seed, step, err)
-				}
-				if refs[i], err = ref.NewSpace(names[i]); err != nil {
-					t.Fatalf("seed %d step %d: ref: %v", seed, step, err)
-				}
+				op.kind = opRecreate
 			default:
-				op = "ScanAll"
-				if g, w := h.ScanAll(), ref.ScanAll(); g != w {
-					t.Fatalf("seed %d step %d %s: merged %d, reference %d", seed, step, op, g, w)
-				}
+				op.kind = opScanAll
 			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("seed %d step %d %s: err %v, reference %v", seed, step, op, got, want)
-			}
-			if g, w := h.Stats(), ref.Stats(); g != w {
-				t.Fatalf("seed %d step %d %s: stats\n got %+v\nwant %+v", seed, step, op, g, w)
-			}
-			for j := range names {
-				if g, w := spaces[j].TouchedBytes(), refs[j].TouchedBytes(); g != w {
-					t.Fatalf("seed %d step %d %s: %s touched %d, reference %d", seed, step, op, names[j], g, w)
-				}
-			}
+			d.step(t, fmt.Sprintf("seed %d step %d", seed, step), op)
 		}
+	}
+}
+
+// FuzzDifferentialAgainstReference runs the differential test's op set
+// on sequences decoded from the fuzz input. The first byte picks the
+// host (odd: capped at 40-119 pages); then every four bytes are one op:
+// kind and space, start page, page count, and class and class offset.
+func FuzzDifferentialAgainstReference(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 9, 0, 3, 4, 9, 0, 4, 0, 0, 0, 11, 2, 3, 2})
+	f.Add([]byte{1, 5, 10, 15, 0, 2, 40, 15, 0, 4, 0, 0, 0, 8, 0, 15, 1, 3, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		var capacity int64
+		if data[0]%2 == 1 {
+			capacity = int64(40+int(data[0]>>1)%80) * PageSize
+		}
+		d := newDifferential(capacity)
+		ops := data[1:]
+		for step := 0; len(ops) >= 4 && step < 300; step++ {
+			b := ops[:4]
+			ops = ops[4:]
+			op := diffOp{
+				kind:  int(b[0]) % 5,
+				space: int(b[0]/5) % len(diffNames),
+				start: int64(b[1] % 64),
+				n:     int64(b[2]%24) + 1,
+				class: diffClasses[b[3]%2],
+				base:  int64(b[3]>>1) % 32,
+			}
+			d.step(t, fmt.Sprintf("step %d", step), op)
+		}
+	})
+}
+
+// TestReferenceHashesDistinct pins the one semantic edge between the
+// models. The reference identifies content by a 64-bit FNV hash, so two
+// contents whose hashes collide would merge there; Host compares
+// content structurally and never merges them. No such collision exists
+// among the base-image offsets the workloads write (at most 9000, the
+// hypervisor's and the largest guest profile's) and the zero page, so
+// both models agree on every workload.
+func TestReferenceHashesDistinct(t *testing.T) {
+	const baseOffsets = 9000
+	seen := make(map[uint64]int64, baseOffsets+1)
+	seen[refZeroHash] = -1 // the zero page
+	for i := int64(0); i < baseOffsets; i++ {
+		hash := refClassHash("baseimg", i)
+		if j, ok := seen[hash]; ok {
+			t.Fatalf("baseimg offset %d collides with %d (-1 = zero page): %#x", i, j, hash)
+		}
+		seen[hash] = i
 	}
 }

@@ -270,21 +270,39 @@ func VirtualWireSize(size int64, entropy float64) int64 {
 
 // gzipWriters recycles gzip writers, each holding about 1 MB of flate
 // compressor state, across every archive, estimate and manifest pass.
-var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+// It is a plain free list, not a sync.Pool, because a pool is emptied
+// every couple of GC cycles and each writer would then be rebuilt.
+var gzipWriters struct {
+	sync.Mutex
+	free []*gzip.Writer
+}
 
 // GetGzipWriter returns a pooled gzip writer at the default level,
 // compressing into w. Reset restores a writer to exactly its
 // gzip.NewWriter state, header included, so its output is
 // byte-identical to a fresh writer's. Return it with PutGzipWriter.
 func GetGzipWriter(w io.Writer) *gzip.Writer {
-	zw := gzipWriters.Get().(*gzip.Writer)
+	gzipWriters.Lock()
+	var zw *gzip.Writer
+	if k := len(gzipWriters.free) - 1; k >= 0 {
+		zw = gzipWriters.free[k]
+		gzipWriters.free = gzipWriters.free[:k]
+	}
+	gzipWriters.Unlock()
+	if zw == nil {
+		return gzip.NewWriter(w)
+	}
 	zw.Reset(w)
 	return zw
 }
 
 // PutGzipWriter returns a writer from GetGzipWriter to the pool; the
 // caller must not use it afterwards.
-func PutGzipWriter(zw *gzip.Writer) { gzipWriters.Put(zw) }
+func PutGzipWriter(zw *gzip.Writer) {
+	gzipWriters.Lock()
+	gzipWriters.free = append(gzipWriters.free, zw)
+	gzipWriters.Unlock()
+}
 
 // compressedSizeModel prices an image's content post-compression: real
 // bytes are measured exactly (by gzipping them), virtual bytes via

@@ -20,6 +20,9 @@ type Network struct {
 	nextID    int64
 	severed   map[regionPair]bool
 	faultLog  []AppliedFault
+	// segment's BFS scratch, reused across calls.
+	bfsPrev  map[*Node]*NIC
+	bfsQueue []bfsVisit
 }
 
 // New returns an empty network on eng.
@@ -28,6 +31,7 @@ func New(eng *sim.Engine) *Network {
 		eng:     eng,
 		nodes:   make(map[string]*Node),
 		severed: make(map[regionPair]bool),
+		bfsPrev: make(map[*Node]*NIC),
 	}
 }
 
@@ -38,6 +42,8 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 // toward out, destined for dst (the segment's destination node, so a
 // NAT firewall can drop private-range destinations). Endpoint nodes
 // are not policy-checked for their own traffic; only transit hops are.
+// A policy must not compute routes (CanReach, PathLatency, transfers)
+// on the network that calls it.
 type ForwardPolicy func(in, out *NIC, proto string, dst *Node) bool
 
 // Node is a host, VM, relay, or service attachment point.

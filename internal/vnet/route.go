@@ -48,6 +48,12 @@ func (n *Network) route(src, dst *Node, via []*Node, proto string) ([]hop, error
 	return hops, nil
 }
 
+// bfsVisit is one node on segment's BFS queue.
+type bfsVisit struct {
+	node *Node
+	in   *NIC // NIC we arrived on (nil at src)
+}
+
 // segment runs a BFS from src to dst honoring per-direction link
 // state, region severs, and transit policies. Deterministic: neighbors
 // expand in link-creation order. When the only thing standing between
@@ -64,17 +70,17 @@ func (n *Network) segment(src, dst *Node, proto string) ([]*Link, error) {
 	if n.regionCut(src, dst) {
 		return nil, ErrPartitioned
 	}
-	type visit struct {
-		node *Node
-		in   *NIC // NIC we arrived on (nil at src)
-	}
 	sawSever := false
-	prev := map[*Node]*NIC{} // node -> NIC we arrived through
-	seen := map[*Node]bool{src: true}
-	queue := []visit{{node: src}}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	// prev maps each reached node to the NIC it was reached through
+	// (nil at src); the scratch is reused because transit policies never
+	// route, so segment does not re-enter.
+	prev := n.bfsPrev
+	clear(prev)
+	prev[src] = nil
+	queue := append(n.bfsQueue[:0], bfsVisit{node: src})
+	defer func() { n.bfsQueue = queue[:0] }()
+	for q := 0; q < len(queue); q++ {
+		v := queue[q]
 		// A transit node must permit forwarding; endpoints are exempt.
 		for _, out := range v.node.ifaces {
 			if out.link.down[out.link.dirFrom(v.node)] {
@@ -93,10 +99,9 @@ func (n *Network) segment(src, dst *Node, proto string) ([]*Link, error) {
 					continue
 				}
 			}
-			if seen[peer.node] {
+			if _, seen := prev[peer.node]; seen {
 				continue
 			}
-			seen[peer.node] = true
 			prev[peer.node] = peer
 			if peer.node == dst {
 				// Reconstruct.
@@ -113,7 +118,7 @@ func (n *Network) segment(src, dst *Node, proto string) ([]*Link, error) {
 				}
 				return links, nil
 			}
-			queue = append(queue, visit{node: peer.node, in: peer})
+			queue = append(queue, bfsVisit{node: peer.node, in: peer})
 		}
 	}
 	if sawSever {
