@@ -9,75 +9,23 @@ import (
 	"nymix/internal/sim"
 )
 
-// AutoscaleConfig tunes the elastic pool daemon. The autoscaler is the
-// ROADMAP's cluster-elasticity item: the pool itself grows when demand
-// queues and shrinks when it ebbs, instead of being fixed at New time.
-type AutoscaleConfig struct {
-	// Enabled arms the daemon; a disabled autoscaler costs nothing.
-	Enabled bool
-	// MinHosts is the floor the pool never drains below (default: the
-	// initial pool size). MaxHosts is the growth ceiling (default:
-	// twice the initial pool size).
-	MinHosts int
-	MaxHosts int
-	// GrowDwell is how long the cluster-wide queue must persist before
-	// a new host is provisioned (default 10s) — a blip a teardown is
-	// about to absorb should not buy a machine.
-	GrowDwell time.Duration
-	// ProvisionDelay models how long a new host takes to come online
-	// (default 30s): image boot, network join, manager start.
-	ProvisionDelay time.Duration
-	// ShrinkShare is the cluster-wide reserved share below which the
-	// pool is considered oversized (default 0.25).
-	ShrinkShare float64
-	// ShrinkDwell is how long the pool must sit under ShrinkShare
-	// before a host is cordoned and drained (default 60s).
-	ShrinkDwell time.Duration
-}
-
-func (a *AutoscaleConfig) fillDefaults(initial int) {
-	if a.MinHosts <= 0 {
-		a.MinHosts = initial
-	}
-	if a.MaxHosts <= 0 {
-		a.MaxHosts = 2 * initial
-	}
-	if a.MaxHosts < a.MinHosts {
-		a.MaxHosts = a.MinHosts
-	}
-	if a.GrowDwell <= 0 {
-		a.GrowDwell = 10 * time.Second
-	}
-	if a.ProvisionDelay <= 0 {
-		a.ProvisionDelay = 30 * time.Second
-	}
-	if a.ShrinkShare <= 0 || a.ShrinkShare >= 1 {
-		a.ShrinkShare = 0.25
-	}
-	if a.ShrinkDwell <= 0 {
-		a.ShrinkDwell = 60 * time.Second
-	}
-}
-
-// PreemptConfig arms cluster-queue preemption: when the head of the
-// cluster-wide queue has outranked running nyms for Dwell, the
-// cheapest host sacrifices strictly-lower-priority members (via
-// fleet.PreemptFor — ephemeral terminated, persistent vaulted and
-// evicted) so the head can place. It complements the autoscaler:
-// preemption admits a System launch in seconds while a new host is
-// still ProvisionDelay away.
-type PreemptConfig struct {
-	Enabled bool
-	// Dwell is how long the queue head must wait before victims die
-	// (default 5s).
-	Dwell time.Duration
-}
-
-func (pc *PreemptConfig) fillDefaults() {
-	if pc.Dwell <= 0 {
-		pc.Dwell = 5 * time.Second
-	}
-}
+// The autoscaler's fixed tuning — the values the elastic experiment
+// runs. Config.MinHosts and Config.MaxHosts bound the pool.
+const (
+	// growDwell is how long the cluster-wide queue must persist before
+	// a new host is provisioned — a blip a teardown is about to absorb
+	// should not buy a machine.
+	growDwell = 5 * time.Second
+	// provisionDelay models how long a new host takes to come online:
+	// image boot, network join, manager start.
+	provisionDelay = 20 * time.Second
+	// shrinkShare is the pool-wide reserved share below which the pool
+	// is considered oversized.
+	shrinkShare = 0.6
+	// shrinkDwell is how long the pool must sit under shrinkShare
+	// before a host is cordoned and drained.
+	shrinkDwell = 15 * time.Second
+)
 
 // ScaleEvent is one autoscaler (or operator) action on the pool.
 type ScaleEvent struct {
@@ -120,37 +68,36 @@ func (c *Cluster) clusterShare() float64 {
 // so a stable cluster leaves the event queue empty and the engine
 // drainable.
 func (c *Cluster) autoscale() {
-	if !c.cfg.Autoscale.Enabled {
+	if c.cfg.MaxHosts <= 0 {
 		return
 	}
 	c.checkGrow()
 	c.checkShrink()
 }
 
-// checkGrow arms one provisioning decision GrowDwell past the moment
+// checkGrow arms one provisioning decision growDwell past the moment
 // the cluster-wide queue appeared. The pressure clock (queueSince,
 // maintained by onChange) resets whenever the queue empties, so only
 // a queue that *persists* buys a host.
 func (c *Cluster) checkGrow() {
-	a := c.cfg.Autoscale
-	if len(c.pending) == 0 || c.growArmed || c.growing || c.ActiveHosts() >= a.MaxHosts {
+	if len(c.pending) == 0 || c.growArmed || c.growing || c.ActiveHosts() >= c.cfg.MaxHosts {
 		return
 	}
 	c.growArmed = true
-	wait := c.queueSince + a.GrowDwell - c.eng.Now()
+	wait := c.queueSince + growDwell - c.eng.Now()
 	c.eng.Schedule(wait, func() {
 		c.growArmed = false
-		if c.growing || len(c.pending) == 0 || c.queueSince < 0 || c.ActiveHosts() >= a.MaxHosts {
+		if c.growing || len(c.pending) == 0 || c.queueSince < 0 || c.ActiveHosts() >= c.cfg.MaxHosts {
 			c.notify() // AwaitSettled watches growArmed; wake it
 			return
 		}
-		if c.eng.Now()-c.queueSince < a.GrowDwell {
+		if c.eng.Now()-c.queueSince < growDwell {
 			c.autoscale() // pressure blipped off and back on; re-dwell
 			return
 		}
 		c.growing = true
 		c.eng.Go("cluster/grow", func(p *sim.Proc) {
-			p.Sleep(a.ProvisionDelay)
+			p.Sleep(provisionDelay)
 			h, err := c.addHost()
 			c.growing = false
 			if err == nil {
@@ -162,14 +109,14 @@ func (c *Cluster) checkGrow() {
 	})
 }
 
-// checkShrink arms one retire decision ShrinkDwell past the moment the
+// checkShrink arms one retire decision shrinkDwell past the moment the
 // pool went cold (reserved share under the watermark with an empty
 // queue). The idle clock resets whenever load returns, so a lull
 // between bursts does not cost a host.
 func (c *Cluster) checkShrink() {
-	a := c.cfg.Autoscale
-	cold := len(c.pending) == 0 && c.ActiveHosts() > a.MinHosts &&
-		c.clusterShare() < a.ShrinkShare &&
+	floor := max(c.cfg.MinHosts, 1) // never drain the last host
+	cold := len(c.pending) == 0 && c.ActiveHosts() > floor &&
+		c.clusterShare() < shrinkShare &&
 		!c.draining && !c.growing && !c.growArmed &&
 		!c.rebalancing && !c.rebalScheduled
 	if !cold {
@@ -183,15 +130,15 @@ func (c *Cluster) checkShrink() {
 		return
 	}
 	c.shrinkArmed = true
-	wait := c.coldSince + a.ShrinkDwell - c.eng.Now()
+	wait := c.coldSince + shrinkDwell - c.eng.Now()
 	c.eng.Schedule(wait, func() {
 		c.shrinkArmed = false
 		if c.coldSince < 0 || c.draining || c.growing ||
-			len(c.pending) > 0 || c.ActiveHosts() <= a.MinHosts {
+			len(c.pending) > 0 || c.ActiveHosts() <= floor {
 			c.notify() // AwaitSettled watches shrinkArmed; wake it
 			return
 		}
-		if c.eng.Now()-c.coldSince < a.ShrinkDwell {
+		if c.eng.Now()-c.coldSince < shrinkDwell {
 			c.autoscale() // idleness blipped; re-dwell
 			return
 		}
@@ -405,7 +352,7 @@ func (c *Cluster) drainDestination(src *Host, m *fleet.Member) *Host {
 // queue head outranks enough running footprint on some host to cover
 // its deficit.
 func (c *Cluster) needsPreempt() bool {
-	if !c.cfg.Preempt.Enabled || len(c.pending) == 0 {
+	if c.cfg.PreemptDwell <= 0 || len(c.pending) == 0 {
 		return false
 	}
 	return c.preemptHostFor(c.pending[0]) != nil
@@ -434,7 +381,7 @@ func (c *Cluster) preemptHostFor(pl pendingLaunch) *Host {
 	return best
 }
 
-// schedulePreempt arms one cluster-preemption decision Dwell past the
+// schedulePreempt arms one cluster-preemption decision PreemptDwell past the
 // moment the queue appeared, sharing the pressure clock with the grow
 // path: provisioning relieves sustained pressure with new capacity,
 // preemption relieves it *now* by sacrificing lower classes — both may
@@ -444,14 +391,14 @@ func (c *Cluster) schedulePreempt() {
 		return
 	}
 	c.preemptArmed = true
-	wait := c.queueSince + c.cfg.Preempt.Dwell - c.eng.Now()
+	wait := c.queueSince + c.cfg.PreemptDwell - c.eng.Now()
 	c.eng.Schedule(wait, func() {
 		c.preemptArmed = false
 		if c.preempting || !c.needsPreempt() || c.queueSince < 0 {
 			c.notify() // AwaitSettled watches preemptArmed; wake it
 			return
 		}
-		if c.eng.Now()-c.queueSince < c.cfg.Preempt.Dwell {
+		if c.eng.Now()-c.queueSince < c.cfg.PreemptDwell {
 			c.schedulePreempt() // pressure blipped; re-dwell
 			return
 		}

@@ -9,28 +9,14 @@ import (
 	"nymix/internal/sim"
 )
 
-// elasticCfg is the fast-dwell autoscaler the tests run: floor of
-// min, ceiling of max, decisions in simulated seconds rather than the
-// production defaults.
-func elasticCfg(min, max int) AutoscaleConfig {
-	return AutoscaleConfig{
-		Enabled:        true,
-		MinHosts:       min,
-		MaxHosts:       max,
-		GrowDwell:      5 * time.Second,
-		ProvisionDelay: 10 * time.Second,
-		ShrinkShare:    0.5,
-		ShrinkDwell:    15 * time.Second,
-	}
-}
-
 func TestAutoscalerGrowsOnPersistentQueue(t *testing.T) {
-	// One 2-slot host, six launches: the queue persists past GrowDwell,
-	// so the autoscaler provisions hosts (up to MaxHosts=3) until the
-	// whole wave is admitted — on a fixed pool it would stall forever.
-	eng, c := newCluster(t, 51, 1, 2<<30, Config{Autoscale: elasticCfg(1, 3)})
+	// One 2-slot host, seven launches: the queue persists past
+	// growDwell, so the autoscaler provisions hosts until six are
+	// admitted — on a fixed pool they would stall forever. The seventh
+	// stays queued: MaxHosts=3 is a ceiling, not a target.
+	eng, c := newCluster(t, 51, 1, 2<<30, Config{MinHosts: 1, MaxHosts: 3})
 	run(t, eng, func(p *sim.Proc) {
-		if err := c.LaunchAll(specs(6, core.ModelEphemeral)); err != nil {
+		if err := c.LaunchAll(specs(7, core.ModelEphemeral)); err != nil {
 			t.Fatalf("launch: %v", err)
 		}
 		if err := c.AwaitRunning(p, 6); err != nil {
@@ -44,7 +30,7 @@ func TestAutoscalerGrowsOnPersistentQueue(t *testing.T) {
 	if st.GrowEvents != 2 {
 		t.Fatalf("grow events = %d, want 2", st.GrowEvents)
 	}
-	if st.Running != 6 || st.QueuedClusterWide != 0 {
+	if st.Running != 6 || st.QueuedClusterWide != 1 {
 		t.Fatalf("running=%d queued=%d after scale-up", st.Running, st.QueuedClusterWide)
 	}
 	for _, ev := range c.ScaleLog() {
@@ -59,7 +45,7 @@ func TestAutoscalerDrainsToFloor(t *testing.T) {
 	// sits far under the watermark, so the autoscaler drains and
 	// retires hosts down to MinHosts=1, migrating both nyms onto the
 	// survivor with no reservation leaked anywhere.
-	eng, c := newCluster(t, 53, 3, 16<<30, Config{Autoscale: elasticCfg(1, 3)})
+	eng, c := newCluster(t, 53, 3, 16<<30, Config{MinHosts: 1, MaxHosts: 3})
 	fp := smallOpts(core.ModelPersistent).Footprint()
 	run(t, eng, func(p *sim.Proc) {
 		if err := c.LaunchAll(specs(2, core.ModelPersistent)); err != nil {
@@ -187,7 +173,7 @@ func TestDrainCrashRetriesFromCheckpoint(t *testing.T) {
 // one ephemeral dies, the System nym places on the freed capacity.
 func TestClusterPreemptionAdmitsSystemLaunch(t *testing.T) {
 	eng, c := newCluster(t, 59, 1, 2<<30, Config{
-		Preempt: PreemptConfig{Enabled: true, Dwell: 2 * time.Second},
+		PreemptDwell: 2 * time.Second,
 	})
 	run(t, eng, func(p *sim.Proc) {
 		if err := c.LaunchAll(specs(2, core.ModelEphemeral)); err != nil {

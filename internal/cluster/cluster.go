@@ -42,16 +42,20 @@ type Config struct {
 	Fleet fleet.Config
 	// Policy is the placement policy (default LeastReserved).
 	Policy Policy
-	// Rebalance configures the hot-host rebalancer (disabled unless
-	// Enabled is set).
-	Rebalance RebalanceConfig
-	// Autoscale configures the elastic pool daemon (disabled unless
-	// Enabled is set).
-	Autoscale AutoscaleConfig
-	// Preempt configures cluster-queue preemption (disabled unless
-	// Enabled is set): a high-priority launch stuck in the cluster-wide
-	// queue sacrifices lower-priority nyms on the cheapest host.
-	Preempt PreemptConfig
+	// Rebalance arms the hot-host rebalancer (see rebalance.go for its
+	// fixed interval, watermarks and move budget).
+	Rebalance bool
+	// MinHosts and MaxHosts bound the elastic pool: the autoscaler
+	// never drains below MinHosts (or one host) nor grows past
+	// MaxHosts. A zero MaxHosts leaves the autoscaler off.
+	MinHosts int
+	MaxHosts int
+	// PreemptDwell arms cluster-queue preemption: a high-priority
+	// launch stuck at the head of the cluster-wide queue this long
+	// sacrifices lower-priority nyms on the cheapest host, admitting
+	// System work while a new host is still provisioning. Zero leaves
+	// preemption off.
+	PreemptDwell time.Duration
 	// VaultPassword seals migration checkpoints (default "cluster-pw").
 	VaultPassword string
 	// DestFor maps a nym name to its vault destination (default: one
@@ -65,7 +69,7 @@ type Config struct {
 	RegionFor func(hostIndex int) string
 }
 
-func (c *Config) fillDefaults() error {
+func (c *Config) fillDefaults() {
 	if c.Hosts <= 0 {
 		c.Hosts = 4
 	}
@@ -90,12 +94,6 @@ func (c *Config) fillDefaults() error {
 			}
 		}
 	}
-	if err := c.Rebalance.fillDefaults(); err != nil {
-		return err
-	}
-	c.Autoscale.fillDefaults(c.Hosts)
-	c.Preempt.fillDefaults()
-	return nil
 }
 
 // HostState is a pool member's scheduling state — the autoscaler's
@@ -259,9 +257,7 @@ type Cluster struct {
 // cloud-provider set so vault checkpoints written through any host
 // are loadable from every other.
 func New(eng *sim.Engine, world *webworld.World, cfg Config) (*Cluster, error) {
-	if err := cfg.fillDefaults(); err != nil {
-		return nil, err
-	}
+	cfg.fillDefaults()
 	c := &Cluster{
 		eng:        eng,
 		world:      world,

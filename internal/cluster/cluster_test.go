@@ -374,27 +374,22 @@ func TestConcurrentMigrationsResolveToOneWinner(t *testing.T) {
 }
 
 func TestRebalancerDrainsHotHost(t *testing.T) {
-	// Pack-first piles every nym on host 0; the rebalancer must notice
-	// the hot host and migrate persistent nyms toward the idle one.
-	eng, c := newCluster(t, 19, 2, 4<<30, Config{
-		Policy: PackFirst{},
-		Rebalance: RebalanceConfig{
-			Enabled:         true,
-			Interval:        10 * time.Second,
-			HotShare:        0.5,
-			ColdShare:       0.45,
-			MaxMovesPerPass: 1,
-		},
+	// Pack-first piles every nym on host 0 past hotShare; the
+	// rebalancer must notice the hot host and migrate persistent nyms
+	// toward the idle one.
+	eng, c := newCluster(t, 19, 2, rebalHostRAM, Config{
+		Policy:    PackFirst{},
+		Rebalance: true,
 	})
 	run(t, eng, func(p *sim.Proc) {
-		if err := c.LaunchAll(specs(4, core.ModelPersistent)); err != nil {
+		if err := c.LaunchAll(specs(rebalNyms, core.ModelPersistent)); err != nil {
 			t.Errorf("launch: %v", err)
 		}
-		if err := c.AwaitRunning(p, 4); err != nil {
+		if err := c.AwaitRunning(p, rebalNyms); err != nil {
 			t.Errorf("await: %v", err)
 		}
-		if got := c.Hosts()[0].Fleet().Running(); got != 4 {
-			t.Errorf("pack-first put %d on host0, want 4", got)
+		if got := c.Hosts()[0].Fleet().Running(); got != rebalNyms {
+			t.Errorf("pack-first put %d on host0, want %d", got, rebalNyms)
 		}
 	})
 	// Engine.Run drained: the rebalancer has converged and disarmed.
@@ -402,11 +397,11 @@ func TestRebalancerDrainsHotHost(t *testing.T) {
 		t.Fatal("rebalancer moved nothing off the hot host")
 	}
 	st := c.Snapshot()
-	if st.Running != 4 {
+	if st.Running != rebalNyms {
 		t.Fatalf("running = %d after rebalance", st.Running)
 	}
 	for i, share := range st.PerHostShare {
-		if share > 0.5+1e-9 {
+		if share > hotShare {
 			t.Fatalf("host %d still hot after rebalance: share %.2f (%v)", i, share, st.PerHostShare)
 		}
 	}

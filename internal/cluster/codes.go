@@ -58,11 +58,6 @@ var (
 	// cannot absorb the host's nyms.
 	CodeDrainStuck = nymerr.Register("cluster.drain_stuck",
 		"drain aborted; the pool cannot absorb the host's nyms")
-	// CodeBadWatermarks: an explicit rebalance watermark pair is
-	// self-defeating (ColdShare at or above HotShare, or a share
-	// outside its legal range).
-	CodeBadWatermarks = nymerr.Register("cluster.bad_watermarks",
-		"rebalance watermarks invalid")
 )
 
 // Errors: typed sentinels kept as errors.Is targets for existing

@@ -25,20 +25,24 @@
 //     credentials) survives the move byte-identically. A crash
 //     between the source save and the destination restore is retried
 //     from the last durable checkpoint.
-//   - Rebalancing. A state-driven daemon watches per-host reserved
-//     shares and migrates the coldest persistent nyms off hot hosts
-//     (share above a watermark) toward underloaded ones, so a
-//     pack-first ramp or a skewed teardown converges back to an even
-//     spread without operator action.
-//   - Autoscaling. The pool itself is elastic: a cluster-wide queue
-//     that persists past a dwell provisions a new host (up to
-//     MaxHosts), and a pool idling under the shrink watermark
-//     cordons its least-loaded host, drains every live nym off it via
-//     MigrateNym, and retires it (down to MinHosts). Hosts walk
+//   - Rebalancing. Config.Rebalance arms a state-driven daemon that
+//     watches per-host reserved shares and migrates persistent nyms
+//     off hot hosts (share above 0.85) toward underloaded ones (under
+//     0.6), so a pack-first ramp or a skewed teardown converges back
+//     to an even spread without operator action. While the sweep
+//     coordinator runs the adaptive cadence, moves are priced by the
+//     wire they would ship and deferred into its idle slots; otherwise
+//     the longest-running member moves at once.
+//   - Autoscaling. The pool itself is elastic: with a nonzero
+//     Config.MaxHosts, a cluster-wide queue that persists past a dwell
+//     provisions a new host (up to MaxHosts), and a pool idling under
+//     the shrink watermark cordons its least-loaded host, drains every
+//     live nym off it via MigrateNym, and retires it (down to
+//     MinHosts). Hosts walk
 //     Active -> Cordoned -> Draining -> Retired; operators can drive
 //     the same path by hand with Cordon/Uncordon/RetireHost.
 //   - Preemption. A high-priority launch stuck at the head of the
-//     cluster-wide queue past its dwell sacrifices strictly-lower
+//     cluster-wide queue past Config.PreemptDwell sacrifices strictly-lower
 //     classes on the cheapest host (fleet.PreemptOne: ephemeral nyms
 //     terminated, persistent ones vaulted and evicted), so System
 //     work lands in seconds while a new host is still provisioning.
@@ -48,13 +52,15 @@
 //     many hosts may be on the shared providers at once, so N
 //     per-host schedulers never herd the providers simultaneously.
 //     Every host pass runs the config's fleet.Cadence unchanged;
-//     under the adaptive cadence, idle slots also prune dead vault
-//     chunks. Hosts out of Active duty are paused — the drain path
+//     under the adaptive cadence, idle slots also carry batched
+//     rebalance moves and prune dead vault chunks. Hosts out of Active duty are paused — the drain path
 //     checkpoints their nyms itself — and a per-slot log plus
 //     ClusterSweepReport (the summed fleet.SweepTally, latency and
 //     staleness Spreads) surface the sweep economy pool-wide.
 //
-// Every daemon is armed state-driven, the same idiom as the fleet's
+// The daemons' dwells, watermarks and budgets are package constants
+// set to the values every caller runs; Config carries only the four
+// settings callers vary. Every daemon is armed state-driven, the same idiom as the fleet's
 // KSM pacing: timers exist only while a pass could help, so a
 // balanced, idle, or floor-sized cluster leaves the event queue empty
 // and the engine drainable. The sweep coordinator is the deliberate

@@ -5,80 +5,25 @@ import (
 
 	"nymix/internal/core"
 	"nymix/internal/fleet"
-	"nymix/internal/nymerr"
 	"nymix/internal/sim"
 )
 
-// RebalanceConfig tunes the hot-host rebalancer.
-type RebalanceConfig struct {
-	// Enabled arms the daemon; a disabled rebalancer costs nothing.
-	Enabled bool
-	// Interval spaces rebalance passes (default 30s).
-	Interval time.Duration
-	// HotShare marks a host hot when its reserved share of budget
-	// exceeds it (default 0.85). Explicit values above 1 are rejected.
-	HotShare float64
-	// ColdShare is the ceiling a destination must sit under to
-	// receive a migrated nym (default 0.6, clamped strictly below
-	// HotShare) — migrating onto a warm host would just move the hot
-	// spot. Explicit values at or above HotShare are rejected: such a
-	// pair would happily "rebalance" onto hosts as hot as the source.
-	ColdShare float64
-	// MaxMovesPerPass bounds migrations per pass (default 2), so a
-	// pass is a nudge, not a stampede of simultaneous vault restores.
-	MaxMovesPerPass int
-	// CostAware picks each pass's victim by priced wire per byte of
-	// pressure relieved — vault-index restore bytes plus unsaved
-	// dirty delta, over footprint — instead of the longest-running
-	// member. Cheap moves (warm vault, little dirt) win over moves
-	// that would re-ship a nym's whole archive.
-	CostAware bool
-	// BatchIntoSweeps defers approved moves into the sweep
-	// coordinator's idle slots (provider token held, nothing dirty to
-	// save) instead of executing them on the rebalance timer — the
-	// migration wire rides windows the cadence already paid for.
-	// Without a running coordinator the queue would never drain, so
-	// passes execute moves directly while no coordinator is
-	// installed.
-	BatchIntoSweeps bool
-}
-
-func (r *RebalanceConfig) fillDefaults() error {
-	if r.Interval <= 0 {
-		r.Interval = 30 * time.Second
-	}
-	if r.HotShare < 0 || r.HotShare > 1 {
-		return nymerr.Newf(CodeBadWatermarks,
-			"cluster: rebalance HotShare %.2f outside (0, 1]", r.HotShare)
-	}
-	if r.HotShare == 0 {
-		r.HotShare = 0.85
-	}
-	if r.ColdShare < 0 {
-		return nymerr.Newf(CodeBadWatermarks,
-			"cluster: rebalance ColdShare %.2f negative", r.ColdShare)
-	}
-	if r.ColdShare == 0 {
-		// The default cold watermark must sit strictly under the hot
-		// one even when HotShare was set explicitly low: a 0.5 hot
-		// watermark with the plain 0.6 default would declare every
-		// destination at once too warm to receive and cool enough to
-		// shed, and the pass would shuttle members onto hosts hotter
-		// than the watermark that made them victims.
-		r.ColdShare = 0.6
-		if r.ColdShare >= r.HotShare {
-			r.ColdShare = 0.75 * r.HotShare
-		}
-	} else if r.ColdShare >= r.HotShare {
-		return nymerr.Newf(CodeBadWatermarks,
-			"cluster: rebalance ColdShare %.2f must be strictly under HotShare %.2f",
-			r.ColdShare, r.HotShare)
-	}
-	if r.MaxMovesPerPass <= 0 {
-		r.MaxMovesPerPass = 2
-	}
-	return nil
-}
+// The rebalancer's fixed tuning — the values every caller runs.
+const (
+	// rebalanceInterval spaces rebalance passes.
+	rebalanceInterval = 30 * time.Second
+	// hotShare marks a host hot when its reserved share of budget
+	// exceeds it.
+	hotShare = 0.85
+	// coldShare is the ceiling a destination must sit under to receive
+	// a migrated nym: migrating onto a warm host would just move the
+	// hot spot.
+	coldShare = 0.6
+	// maxMovesPerPass bounds migrations per pass (and per idle sweep
+	// slot), so a pass is a nudge, not a stampede of simultaneous
+	// vault restores.
+	maxMovesPerPass = 8
+)
 
 // plannedMove is one approved rebalance move awaiting an idle sweep
 // slot. The destination is re-validated at execution time — slots may
@@ -98,7 +43,7 @@ type plannedMove struct {
 // (or queued): without it a victim whose migration failed would be
 // re-picked by every remaining move budget in the same pass.
 func (c *Cluster) planMove(skip map[string]bool) (*fleet.Member, *Host) {
-	if !c.cfg.Rebalance.Enabled {
+	if !c.cfg.Rebalance {
 		return nil, nil
 	}
 	var bestM *fleet.Member
@@ -111,7 +56,7 @@ func (c *Cluster) planMove(skip map[string]bool) (*fleet.Member, *Host) {
 			continue
 		}
 		share := h.ReservedShare()
-		if share <= c.cfg.Rebalance.HotShare || share <= bestShare {
+		if share <= hotShare || share <= bestShare {
 			continue
 		}
 		m := c.pickVictim(h, skip)
@@ -129,13 +74,13 @@ func (c *Cluster) planMove(skip map[string]bool) (*fleet.Member, *Host) {
 
 // rebalanceNeeded reports whether a pass could do useful work. Moves
 // already queued for idle slots don't count: re-planning them every
-// Interval would queue the same member twice.
+// rebalanceInterval would queue the same member twice.
 func (c *Cluster) rebalanceNeeded() bool {
 	m, _ := c.planMove(c.moveQueued)
 	return m != nil
 }
 
-// maybeScheduleRebalance arms one pass Interval out, the same
+// maybeScheduleRebalance arms one pass rebalanceInterval out, the same
 // state-driven idiom as the fleet's KSM daemon: the timer exists only
 // while a pass could help, so a balanced (or idle) cluster leaves the
 // event queue empty and the engine drainable.
@@ -144,7 +89,7 @@ func (c *Cluster) maybeScheduleRebalance() {
 		return
 	}
 	c.rebalScheduled = true
-	c.eng.Schedule(c.cfg.Rebalance.Interval, func() {
+	c.eng.Schedule(rebalanceInterval, func() {
 		c.rebalScheduled = false
 		if c.rebalancing || !c.rebalanceNeeded() {
 			c.notify() // AwaitSettled watches rebalScheduled; wake it
@@ -159,9 +104,10 @@ func (c *Cluster) maybeScheduleRebalance() {
 	})
 }
 
-// rebalancePass plans up to MaxMovesPerPass moves off the hottest
-// hosts toward the least-loaded cold hosts. With BatchIntoSweeps (and
-// a coordinator running) approved moves queue for idle sweep slots;
+// rebalancePass plans up to maxMovesPerPass moves off the hottest
+// hosts toward the least-loaded cold hosts. While an adaptive sweep
+// coordinator runs, approved moves queue for its idle slots, so the
+// migration wire rides provider windows the cadence already paid for;
 // otherwise each executes here. Migration failures are absorbed: a
 // failed destination restore re-queues the nym cluster-wide from its
 // vault checkpoint (see MigrateNym), a failed source save leaves the
@@ -173,8 +119,8 @@ func (c *Cluster) rebalancePass(p *sim.Proc) {
 	for name := range c.moveQueued {
 		attempted[name] = true
 	}
-	batch := c.cfg.Rebalance.BatchIntoSweeps && c.sweepCfg != nil
-	for moves := 0; moves < c.cfg.Rebalance.MaxMovesPerPass; moves++ {
+	batch := adaptive(c.sweepCfg)
+	for moves := 0; moves < maxMovesPerPass; moves++ {
 		victim, dst := c.planMove(attempted)
 		if victim == nil {
 			return
@@ -190,11 +136,22 @@ func (c *Cluster) rebalancePass(p *sim.Proc) {
 	}
 }
 
+// adaptive reports whether a sweep coordinator config (nil while none
+// is installed) runs the adaptive cadence. It is the one switch for
+// the idle-slot economy: idle slots prune vault chunks, and the
+// rebalancer prices its victims and defers its moves into those slots
+// — the cadence that economizes checkpoint wire economizes migration
+// wire too.
+func adaptive(cfg *SweepConfig) bool {
+	return cfg != nil && cfg.Cadence.Mode == fleet.CadenceAdaptive
+}
+
 // pickVictim selects the host's next move candidate: the cheapest
-// priced move under CostAware, the longest-running persistent member
-// otherwise. Members already mid-migration or in skip are excluded.
+// priced move while adaptive sweeps run, the longest-running
+// persistent member otherwise. Members already mid-migration or in
+// skip are excluded.
 func (c *Cluster) pickVictim(h *Host, skip map[string]bool) *fleet.Member {
-	if c.cfg.Rebalance.CostAware {
+	if adaptive(c.sweepCfg) {
 		return c.cheapestVictim(h, skip)
 	}
 	return c.coldestPersistent(h, skip)
@@ -259,13 +216,13 @@ func (c *Cluster) movable(m *fleet.Member, skip map[string]bool) bool {
 // watermark that can admit the member's footprint and wire rate, or
 // nil.
 func (c *Cluster) coldDestination(src *Host, m *fleet.Member) *Host {
-	return c.destinationUnder(src, m.Footprint(), m.WireRate(), c.cfg.Rebalance.ColdShare)
+	return c.destinationUnder(src, m.Footprint(), m.WireRate(), coldShare)
 }
 
 // destinationUnder returns the least-loaded placeable host (excluding
 // src) whose reserved share sits strictly under shareCeiling and that
 // can admit the footprint, or nil. The rebalancer caps the ceiling at
-// its cold watermark (migrating onto a warm host would just move the
+// coldShare (migrating onto a warm host would just move the
 // hot spot); a drain passes a ceiling above 1 — any host with room
 // will do.
 func (c *Cluster) destinationUnder(src *Host, footprint, wireRate int64, shareCeiling float64) *Host {

@@ -5,73 +5,17 @@ import (
 	"time"
 
 	"nymix/internal/core"
-	"nymix/internal/nymerr"
+	"nymix/internal/fleet"
 	"nymix/internal/sim"
-	"nymix/internal/webworld"
 )
 
-// TestRebalanceWatermarkValidation is the regression table for the
-// fillDefaults hole where an explicitly low HotShare with a defaulted
-// ColdShare produced ColdShare >= HotShare — a pair under which every
-// destination is simultaneously too warm to receive and cool enough
-// to shed.
-func TestRebalanceWatermarkValidation(t *testing.T) {
-	cases := []struct {
-		name    string
-		cfg     RebalanceConfig
-		wantErr bool
-	}{
-		{name: "all defaults", cfg: RebalanceConfig{}},
-		{name: "explicit valid pair", cfg: RebalanceConfig{HotShare: 0.9, ColdShare: 0.5}},
-		// The bug: HotShare <= the 0.6 default ColdShare used to leave
-		// ColdShare >= HotShare silently.
-		{name: "low hot, defaulted cold", cfg: RebalanceConfig{HotShare: 0.5}},
-		{name: "hot at default cold", cfg: RebalanceConfig{HotShare: 0.6}},
-		{name: "cold above hot", cfg: RebalanceConfig{HotShare: 0.5, ColdShare: 0.6}, wantErr: true},
-		{name: "cold equals hot", cfg: RebalanceConfig{HotShare: 0.85, ColdShare: 0.85}, wantErr: true},
-		{name: "hot above one", cfg: RebalanceConfig{HotShare: 1.2}, wantErr: true},
-		{name: "negative hot", cfg: RebalanceConfig{HotShare: -0.1}, wantErr: true},
-		{name: "negative cold", cfg: RebalanceConfig{ColdShare: -0.1}, wantErr: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			err := cfg.fillDefaults()
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("fillDefaults(%+v) accepted an invalid pair: %+v", tc.cfg, cfg)
-				}
-				if got := nymerr.Classify(err); got != CodeBadWatermarks {
-					t.Fatalf("error classified %q, want %s: %v", got, CodeBadWatermarks, err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("fillDefaults(%+v): %v", tc.cfg, err)
-			}
-			if cfg.ColdShare <= 0 || cfg.HotShare <= 0 || cfg.ColdShare >= cfg.HotShare {
-				t.Fatalf("fillDefaults(%+v) left watermarks cold=%.3f hot=%.3f, want 0 < cold < hot",
-					tc.cfg, cfg.ColdShare, cfg.HotShare)
-			}
-		})
-	}
-}
-
-// TestNewRejectsInvalidWatermarks: the validation surfaces through
-// cluster construction as a typed error, not a latent misconfig.
-func TestNewRejectsInvalidWatermarks(t *testing.T) {
-	eng := sim.NewEngine(1)
-	_, world := webworld.BuildDefault(eng)
-	_, err := New(eng, world, Config{
-		Rebalance: RebalanceConfig{Enabled: true, HotShare: 0.5, ColdShare: 0.7},
-	})
-	if err == nil {
-		t.Fatal("New accepted ColdShare > HotShare")
-	}
-	if got := nymerr.Classify(err); got != CodeBadWatermarks {
-		t.Fatalf("error classified %q, want %s: %v", got, CodeBadWatermarks, err)
-	}
-}
+// A 3 GiB test host admits about five 400 MiB nymboxes, so five
+// pack-first nyms put it past hotShare (0.85) while its empty partner
+// sits under coldShare (0.6); moving one member cools it again.
+const (
+	rebalHostRAM = 3 << 30
+	rebalNyms    = 5
+)
 
 // launchSerially places specs one at a time so RunningAt order — and
 // therefore the rebalancer's coldest-victim order — is deterministic.
@@ -92,18 +36,11 @@ func launchSerially(t *testing.T, p *sim.Proc, c *Cluster, n int) {
 // when a move fails with the victim still running (here its vault
 // destination never resolves, so every source save dies), the pass
 // must spend its remaining budget on OTHER members instead of
-// re-planning the identical victim MaxMovesPerPass times and moving
+// re-planning the identical victim maxMovesPerPass times and moving
 // nothing.
 func TestRebalancePassSkipsFailedVictim(t *testing.T) {
-	eng, c := newCluster(t, 21, 2, 4<<30, Config{
+	eng, c := newCluster(t, 21, 2, rebalHostRAM, Config{
 		Policy: PackFirst{},
-		Rebalance: RebalanceConfig{
-			Enabled:         true,
-			Interval:        time.Hour, // driven manually below
-			HotShare:        0.5,
-			ColdShare:       0.45,
-			MaxMovesPerPass: 2,
-		},
 		// nym00's checkpoints have nowhere to go: every migration save
 		// for it fails, with the member still healthy on its host.
 		DestFor: func(name string) core.VaultDest {
@@ -119,7 +56,8 @@ func TestRebalancePassSkipsFailedVictim(t *testing.T) {
 		},
 	})
 	run(t, eng, func(p *sim.Proc) {
-		launchSerially(t, p, c, 4)
+		launchSerially(t, p, c, rebalNyms)
+		c.cfg.Rebalance = true // armed after placement; the pass is driven by hand
 		victim, dst := c.planMove(nil)
 		if victim == nil || victim.Name() != "nym00" || dst == nil {
 			t.Fatalf("precondition: planned victim %v, want nym00 with a destination", victim)
@@ -143,16 +81,7 @@ func TestRebalancePassSkipsFailedVictim(t *testing.T) {
 // absorb the failure — the remaining budget moves another member —
 // and the crashed nym restarts without wedging the cluster.
 func TestRebalancePassAbsorbsCrashMidSave(t *testing.T) {
-	eng, c := newCluster(t, 22, 2, 4<<30, Config{
-		Policy: PackFirst{},
-		Rebalance: RebalanceConfig{
-			Enabled:         true,
-			Interval:        time.Hour, // driven manually below
-			HotShare:        0.5,
-			ColdShare:       0.45,
-			MaxMovesPerPass: 2,
-		},
-	})
+	eng, c := newCluster(t, 22, 2, rebalHostRAM, Config{Policy: PackFirst{}})
 	eng.Go("chaos", func(p *sim.Proc) {
 		// Wait for the pass's first migration to enter its source save,
 		// then crash the victim under it.
@@ -168,7 +97,8 @@ func TestRebalancePassAbsorbsCrashMidSave(t *testing.T) {
 		}
 	})
 	run(t, eng, func(p *sim.Proc) {
-		launchSerially(t, p, c, 4)
+		launchSerially(t, p, c, rebalNyms)
+		c.cfg.Rebalance = true // armed after placement; the pass is driven by hand
 		c.rebalancePass(p)
 		if got := c.Migrations(); got < 1 {
 			t.Fatalf("pass completed %d migrations, want >= 1 despite the crashed victim", got)
@@ -187,13 +117,7 @@ func TestRebalancePassAbsorbsCrashMidSave(t *testing.T) {
 // a cold index prices as a full-footprint restore, the most expensive
 // move on the host.
 func TestCostAwareVictimPricing(t *testing.T) {
-	eng, c := newCluster(t, 23, 2, 4<<30, Config{
-		Policy: PackFirst{},
-		Rebalance: RebalanceConfig{
-			Enabled: true, Interval: time.Hour,
-			HotShare: 0.5, ColdShare: 0.45, CostAware: true,
-		},
-	})
+	eng, c := newCluster(t, 23, 2, 4<<30, Config{Policy: PackFirst{}})
 	run(t, eng, func(p *sim.Proc) {
 		launchSerially(t, p, c, 3)
 		h0 := c.Hosts()[0]
@@ -222,61 +146,78 @@ func TestCostAwareVictimPricing(t *testing.T) {
 	})
 }
 
-// TestBatchedMovesExecuteInIdleSweepSlots: with BatchIntoSweeps the
-// rebalance timer only plans; the migration itself runs inside a
-// sweep slot that held the provider token with nothing dirty to save.
+// TestBatchedMovesExecuteInIdleSweepSlots pins both sides of the
+// adaptive-cadence rule on one hot pool. Under an adaptive coordinator
+// the rebalancer prices its victim (the warm-vault nym03, not the
+// coldest nym00), its timer only plans, and the migration runs inside
+// a sweep slot that held the provider token with nothing dirty to
+// save. Under any other cadence the victim is the coldest member,
+// nothing queues, and the pass migrates directly.
 func TestBatchedMovesExecuteInIdleSweepSlots(t *testing.T) {
-	eng, c := newCluster(t, 24, 2, 4<<30, Config{
-		Policy: PackFirst{},
-		Rebalance: RebalanceConfig{
-			Enabled:         true,
-			Interval:        10 * time.Second,
-			HotShare:        0.5,
-			ColdShare:       0.45,
-			MaxMovesPerPass: 1,
-			CostAware:       true,
-			BatchIntoSweeps: true,
-		},
-	})
-	run(t, eng, func(p *sim.Proc) {
-		if err := c.LaunchAll(specs(4, core.ModelPersistent)); err != nil {
-			t.Fatalf("launch: %v", err)
-		}
-		if err := c.AwaitRunning(p, 4); err != nil {
-			t.Fatalf("await: %v", err)
-		}
-		if err := c.StartSweeps(SweepConfig{Interval: 20 * time.Second}); err != nil {
-			t.Fatalf("start sweeps: %v", err)
-		}
-		p.Sleep(4 * time.Minute)
-		c.StopSweeps()
-		c.AwaitSweepsIdle(p)
-		rep := c.SweepReport()
-		if rep.IdleSlots == 0 {
-			t.Fatal("no idle slots over 4 minutes of a settling pool")
-		}
-		if rep.MovesPlanned < 1 {
-			t.Fatalf("rebalancer planned %d moves, want >= 1", rep.MovesPlanned)
-		}
-		if rep.MovesExecuted < 1 {
-			t.Fatalf("idle slots executed %d batched moves, want >= 1 (planned %d, dropped %d)",
-				rep.MovesExecuted, rep.MovesPlanned, rep.MovesDropped)
-		}
-		if c.Migrations() < 1 {
-			t.Fatal("no migration completed via the batched path")
-		}
-		if got := c.Hosts()[1].Fleet().Running(); got < 1 {
-			t.Fatalf("cold host runs %d members after batched rebalance, want >= 1", got)
-		}
-		// The batched path must not leave ghosts: nothing queued twice,
-		// nothing stuck mid-migration.
-		if len(c.migrating) != 0 {
-			t.Fatalf("migrating guard not empty after settle: %v", c.migrating)
-		}
-		for name := range c.moveQueued {
-			if h := c.HostOf(name); h == nil {
-				t.Fatalf("queued move for unplaced nym %q", name)
+	for _, tc := range []struct {
+		name    string
+		mode    fleet.CadenceMode
+		victim  string
+		batched bool
+	}{
+		{name: "adaptive", mode: fleet.CadenceAdaptive, victim: "nym03", batched: true},
+		{name: "all", mode: fleet.CadenceAll, victim: "nym00", batched: false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, c := newCluster(t, 24, 2, rebalHostRAM, Config{Policy: PackFirst{}})
+			// Failures inside the sim proc use Errorf and return: a
+			// Fatalf there would strand the engine instead of failing.
+			run(t, eng, func(p *sim.Proc) {
+				launchSerially(t, p, c, rebalNyms)
+				if _, err := c.Hosts()[0].Fleet().CheckpointNym(p, "nym03", c.cfg.VaultPassword, c.cfg.DestFor("nym03")); err != nil {
+					t.Errorf("checkpoint nym03: %v", err)
+					return
+				}
+				if err := c.StartSweeps(SweepConfig{Interval: 20 * time.Second, Cadence: fleet.Cadence{Mode: tc.mode}}); err != nil {
+					t.Errorf("start sweeps: %v", err)
+					return
+				}
+				// Arm the rebalancer only now, so its first pass plans
+				// under the installed coordinator.
+				c.cfg.Rebalance = true
+				if v, _ := c.planMove(nil); v == nil || v.Name() != tc.victim {
+					t.Errorf("planned victim %v, want %s", v, tc.victim)
+				}
+				c.onChange()
+				p.Sleep(4 * time.Minute)
+				c.StopSweeps()
+				c.AwaitSweepsIdle(p)
+			})
+			rep := c.SweepReport()
+			if rep.MovesPlanned < 1 {
+				t.Fatalf("rebalancer planned %d moves, want >= 1", rep.MovesPlanned)
 			}
-		}
-	})
+			if c.Migrations() < 1 {
+				t.Fatal("no migration completed")
+			}
+			if got := c.Hosts()[1].Fleet().Running(); got < 1 {
+				t.Fatalf("cold host runs %d members after rebalance, want >= 1", got)
+			}
+			if tc.batched {
+				if rep.IdleSlots == 0 {
+					t.Fatal("no idle slots over 4 minutes of a settling pool")
+				}
+				if rep.MovesExecuted < 1 {
+					t.Fatalf("idle slots executed %d batched moves, want >= 1 (planned %d, dropped %d)",
+						rep.MovesExecuted, rep.MovesPlanned, rep.MovesDropped)
+				}
+			} else if rep.MovesExecuted != 0 || rep.MovesDropped != 0 {
+				t.Fatalf("sweep slots executed %d and dropped %d moves, want none outside the adaptive cadence",
+					rep.MovesExecuted, rep.MovesDropped)
+			}
+			// The move path must not leave ghosts: nothing queued once
+			// the pool settled, nothing stuck mid-migration.
+			if len(c.migrating) != 0 {
+				t.Fatalf("migrating guard not empty after settle: %v", c.migrating)
+			}
+			if len(c.pendingMoves) != 0 || len(c.moveQueued) != 0 {
+				t.Fatalf("moves still queued after settle: %v", c.pendingMoves)
+			}
+		})
+	}
 }

@@ -312,7 +312,7 @@ func (c *Cluster) sweepSlot(p *sim.Proc, cfg *SweepConfig, round, slot int, h *H
 	if err == nil && rec.Saves == 0 && rec.Errors == 0 {
 		rec2.Idle = true
 		rec2.Moves, rec2.MovesDropped = c.drainPendingMoves(p)
-		if cfg.Cadence.Mode == fleet.CadenceAdaptive {
+		if adaptive(cfg) {
 			rec2.GCRuns, rec2.GCReclaimedBytes, rec2.GCWireBytes = c.opportunisticGC(p, cfg, h)
 		}
 	}
@@ -322,7 +322,7 @@ func (c *Cluster) sweepSlot(p *sim.Proc, cfg *SweepConfig, round, slot int, h *H
 	c.notify()
 }
 
-// drainPendingMoves executes up to MaxMovesPerPass rebalance moves the
+// drainPendingMoves executes up to maxMovesPerPass rebalance moves the
 // planner batched for idle slots. Each move is re-validated at
 // execution time — the plan may be rounds old: the source must still
 // be hot (otherwise the pressure the move was priced against is gone)
@@ -330,12 +330,12 @@ func (c *Cluster) sweepSlot(p *sim.Proc, cfg *SweepConfig, round, slot int, h *H
 // destination is planned. Stale moves are dropped, not retried — the
 // rebalancer re-plans from live state on its next pass.
 func (c *Cluster) drainPendingMoves(p *sim.Proc) (executed, dropped int) {
-	for executed < c.cfg.Rebalance.MaxMovesPerPass && len(c.pendingMoves) > 0 {
+	for executed < maxMovesPerPass && len(c.pendingMoves) > 0 {
 		mv := c.pendingMoves[0]
 		c.pendingMoves = c.pendingMoves[1:]
 		delete(c.moveQueued, mv.name)
 		src := c.placement[mv.name]
-		if src == nil || c.migrating[mv.name] || src.ReservedShare() <= c.cfg.Rebalance.HotShare {
+		if src == nil || c.migrating[mv.name] || src.ReservedShare() <= hotShare {
 			dropped++
 			continue
 		}
@@ -346,7 +346,7 @@ func (c *Cluster) drainPendingMoves(p *sim.Proc) (executed, dropped int) {
 		}
 		dst := c.Host(mv.dst)
 		if dst == nil || dst == src || !dst.placeable() ||
-			dst.ReservedShare() >= c.cfg.Rebalance.ColdShare || !dst.orch.CanAdmit(m.Footprint()) {
+			dst.ReservedShare() >= coldShare || !dst.orch.CanAdmit(m.Footprint()) {
 			dst = c.coldDestination(src, m)
 		}
 		if dst == nil {

@@ -191,7 +191,7 @@ func TestClusterSweepSlotRecordsSaveFailures(t *testing.T) {
 // every nym's checkpoint generation is monotonic.
 func TestSweepsInterleaveCrashMigrationPreemption(t *testing.T) {
 	eng, c := newCluster(t, 23, 2, 4<<30, Config{
-		Preempt: PreemptConfig{Enabled: true, Dwell: 2 * time.Second},
+		PreemptDwell: 2 * time.Second,
 	})
 	gens := map[string]int{}
 	names := []string{"nym00", "nym01", "nym02", "nym03", "nym04", "nym05"}

@@ -287,13 +287,7 @@ func economyRun(seed uint64, nyms, hosts, rounds int, mode string, out *EconomyM
 		Uplink:        &uplink,
 		VaultPassword: "econ-pw",
 		DestFor:       destFor,
-		Rebalance: cluster.RebalanceConfig{
-			Enabled:         true,
-			Interval:        EconomyInterval,
-			CostAware:       mode == "adaptive",
-			BatchIntoSweeps: mode == "adaptive",
-			MaxMovesPerPass: 8,
-		},
+		Rebalance:     true,
 	})
 	if err != nil {
 		return 0, err

@@ -93,11 +93,13 @@ func ElasticSpecs(n int) []fleet.Spec {
 }
 
 // ElasticClusterConfig is the pool the elastic experiment runs: 8 GiB
-// 4-core hosts (about 36 density-tuned nymboxes each), short
-// simulated dwells so decisions land in tens of seconds, preemption
+// 4-core hosts (about 36 density-tuned nymboxes each), preemption
 // armed in both modes, and — in elastic mode — an autoscaler from
-// floor to 3x floor. On the fixed pool preemption is the only relief
-// (10s dwell); on the elastic pool its dwell sits past the grow path's
+// ElasticFloorHosts to 3x the initial pool. The autoscaler's dwells
+// are the cluster's constants (5s to grow, 20s to provision, 15s
+// under a 0.6 share to shrink), so decisions land in tens of seconds.
+// On the fixed pool preemption is the only relief (10s dwell); on the
+// elastic pool its 45s dwell sits past the grow path's
 // time-to-provision, so new capacity absorbs sustained pressure and
 // victims die only once the ceiling is hit.
 func ElasticClusterConfig(hosts int, elastic bool) cluster.Config {
@@ -107,19 +109,12 @@ func ElasticClusterConfig(hosts int, elastic bool) cluster.Config {
 			RAMBytes: 8 << 30,
 			CPU:      defaultElasticChip(),
 		},
-		Preempt: cluster.PreemptConfig{Enabled: true, Dwell: 10 * time.Second},
+		PreemptDwell: 10 * time.Second,
 	}
 	if elastic {
-		cfg.Autoscale = cluster.AutoscaleConfig{
-			Enabled:        true,
-			MinHosts:       ElasticFloorHosts,
-			MaxHosts:       3 * hosts,
-			GrowDwell:      5 * time.Second,
-			ProvisionDelay: 20 * time.Second,
-			ShrinkShare:    0.6,
-			ShrinkDwell:    15 * time.Second,
-		}
-		cfg.Preempt.Dwell = 45 * time.Second
+		cfg.MinHosts = ElasticFloorHosts
+		cfg.MaxHosts = 3 * hosts
+		cfg.PreemptDwell = 45 * time.Second
 	}
 	return cfg
 }
@@ -323,8 +318,8 @@ func elasticClassRows(mode string, stats map[string]*memberStat) []ElasticClassR
 		if row == nil {
 			continue
 		}
-		row.P50 = fleet.LatencyPercentile(waits[class], 0.50)
-		row.P95 = fleet.LatencyPercentile(waits[class], 0.95)
+		wait := fleet.SpreadOf(waits[class])
+		row.P50, row.P95 = wait.P50, wait.P95
 		out = append(out, *row)
 	}
 	return out

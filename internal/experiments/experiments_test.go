@@ -473,6 +473,7 @@ func TestFleetShardsShape(t *testing.T) {
 	if pack.PerHost[0] <= pack.PerHost[1] {
 		t.Errorf("pack-first placement not skewed: %v", pack.PerHost)
 	}
+	checkGolden(t, "shards_small.json", rows)
 }
 
 func TestFleetRampUpShape(t *testing.T) {
@@ -589,6 +590,7 @@ func TestFleetRampUpDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fleet_ramp_77.json", a)
 	b, err := FleetRampUp(77, 12)
 	if err != nil {
 		t.Fatal(err)

@@ -142,8 +142,9 @@ func frontierRun(seed uint64, backend string) (*MixnetFrontierRow, error) {
 		return nil, err
 	}
 
-	row.FetchP50Seconds = fleet.LatencyPercentile(lats, 0.50).Seconds()
-	row.FetchP95Seconds = fleet.LatencyPercentile(lats, 0.95).Seconds()
+	fetch := fleet.SpreadOf(lats)
+	row.FetchP50Seconds = fetch.P50.Seconds()
+	row.FetchP95Seconds = fetch.P95.Seconds()
 	clusters := tracker.Link(frontierAdversary(world), append(world.AllVisits(), world.TrackerLog()...))
 	row.LinkedIdentities = tracker.LargestCluster(clusters)
 	row.TapMatch = diff64(uplink.WireBytesTotal(), uplink.LedgerBytesTotal()) <= 1

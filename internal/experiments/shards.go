@@ -116,19 +116,13 @@ func shardRampOne(seed uint64, nyms, hosts int, policy cluster.Policy, hostCfg h
 
 // ShardClusterConfig is the cluster the sharding experiment (and the
 // nymixctl demo) runs: 64 GiB / 16-core hosts, density-tuned nymboxes
-// (FleetNymOptions), and a rebalancer that wakes when any host's
-// reserved share passes 85%.
+// (FleetNymOptions), and the rebalancer armed (it wakes when any
+// host's reserved share passes 85%).
 func ShardClusterConfig(hosts int, policy cluster.Policy) cluster.Config {
 	return cluster.Config{
-		Hosts:  hosts,
-		Policy: policy,
-		Rebalance: cluster.RebalanceConfig{
-			Enabled:         true,
-			Interval:        30 * time.Second,
-			HotShare:        0.85,
-			ColdShare:       0.6,
-			MaxMovesPerPass: 8,
-		},
+		Hosts:     hosts,
+		Policy:    policy,
+		Rebalance: true,
 	}
 }
 

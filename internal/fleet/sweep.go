@@ -276,6 +276,8 @@ func SpreadOf(ds []time.Duration) Spread {
 }
 
 // LatencyPercentile returns the nearest-rank q-quantile of ds, or 0.
+// In-repo code uses SpreadOf; this stays for the bench module, which
+// reads arbitrary quantiles.
 func LatencyPercentile(ds []time.Duration, q float64) time.Duration {
 	if len(ds) == 0 {
 		return 0
