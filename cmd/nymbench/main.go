@@ -9,6 +9,7 @@
 //	         [-rounds N]            # sweeps: steady-state rounds (default 8); -nyms sizes the sweep fleet (default 32)
 //	                                # economy: churn rounds (default 16); -nyms/-hosts size the pool (default 1024 over 4)
 //	         [-json]                # also write BENCH_<run>.json (sim-time results + wall-clock and allocs)
+//	         [-cpuprofile FILE]     # write a CPU profile of the selected runs (go tool pprof FILE)
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -56,6 +58,7 @@ func main() {
 	hosts := flag.Int("hosts", 0, "shards: pool size (0 = 4); elastic: initial pool (0 = 2); economy: pool size (0 = 4)")
 	rounds := flag.Int("rounds", 0, "sweeps: steady-state rounds (0 = 8); economy: churn rounds (0 = 16)")
 	emitJSON := flag.Bool("json", false, "write BENCH_<run>.json next to the text output")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected runs to `FILE`")
 	flag.Parse()
 
 	var selected []experiments.Experiment
@@ -70,6 +73,17 @@ func main() {
 	}
 	size := experiments.Size{Nyms: *nyms, Hosts: *hosts, Rounds: *rounds}
 	bench := benchFile{Run: *run, Seed: *seed, GoVersion: runtime.Version()}
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "nymbench: cpuprofile: %v\n", err)
+			os.Exit(1)
+		}
+		defer f.Close()
+	}
 	for _, e := range selected {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -91,6 +105,7 @@ func main() {
 			Result:     result,
 		})
 	}
+	pprof.StopCPUProfile()
 	if *emitJSON {
 		path := fmt.Sprintf("BENCH_%s.json", *run)
 		data, err := json.MarshalIndent(bench, "", "  ")

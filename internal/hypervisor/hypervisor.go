@@ -162,6 +162,12 @@ const LANTag = "lan"
 // forward is the host's forwarding policy: CommVM wire <-> uplink
 // only, and never toward the local intranet. Everything else — VM to
 // VM, VM to hypervisor, intranet to VM — is silently dropped.
+//
+// vnet memoizes routes until a route-visible mutator runs, so forward
+// reads only state that changes next to one: h.uplink is set by
+// ConnectUplink right after its Connect, a commLinks entry is added
+// by WireNymbox right after its Connect and removed by DestroyVM
+// right after the link's SetDown, and the LAN tag is set by AddTag.
 func (h *Host) forward(in, out *vnet.Iface, proto string, dst *vnet.Node) bool {
 	if in == nil || out == nil || h.uplink == nil {
 		return false
@@ -247,6 +253,8 @@ func (h *Host) WireNymbox(anon, comm *vm.VM) error {
 		return errNoUplink
 	}
 	wire := h.net.Connect(anon.Node(), comm.Node(), wireCfg)
+	// Connect clears vnet's route memo; forward reads commLinks, so the
+	// entry is added before any route can be computed again.
 	natLeg := h.net.Connect(comm.Node(), h.node, natLegCfg)
 	h.commLinks[natLeg] = true
 	h.wires[anon.Name()] = wire
@@ -266,6 +274,9 @@ func (h *Host) DestroyVM(p *sim.Proc, v *vm.VM) error {
 	}
 	if n := v.Node(); n != nil {
 		for _, l := range allLinks(n) {
+			// SetDown clears vnet's route memo. A route computed between
+			// it and the delete below cannot depend on l's commLinks
+			// entry: l is down both ways, so no route crosses it.
 			l.SetDown(h.net, true)
 			delete(h.commLinks, l)
 		}

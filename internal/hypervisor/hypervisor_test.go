@@ -162,6 +162,55 @@ func TestDestroyVMDropsLinksAndMemory(t *testing.T) {
 	}
 }
 
+// The network memoizes routes, and forward reads h.commLinks. A route
+// from a CommVM to the internet that was memoized while its nymbox was
+// wired must not outlive DestroyVM, and a newly wired nymbox must get
+// its route.
+func TestForwardPolicyFollowsRouteMemo(t *testing.T) {
+	r := newRig(t)
+	_, comm := r.launchNymbox(t, "0")
+	if !r.net.CanReach("comm-0", "site", "tcp") {
+		t.Fatal("wired CommVM cannot reach the internet")
+	}
+	if _, err := r.net.PathLatency("comm-0", "site"); err != nil {
+		t.Fatalf("wired CommVM has no path: %v", err)
+	}
+	r.eng.Go("destroy", func(p *sim.Proc) {
+		if err := r.host.DestroyVM(p, comm); err != nil {
+			t.Errorf("destroy comm: %v", err)
+		}
+	})
+	r.eng.Run()
+	if r.net.CanReach("comm-0", "site", "tcp") {
+		t.Fatal("destroyed CommVM still reaches the internet through a memoized route")
+	}
+	if _, err := r.net.PathLatency("comm-0", "site"); err == nil {
+		t.Fatal("destroyed CommVM still has a path")
+	}
+	// Probe the second nymbox's CommVM before it is wired, so the
+	// memo holds its no-route answer when WireNymbox connects it.
+	anon1, err := r.host.LaunchVM(vm.Config{Name: "anon-1", Role: guestos.RoleAnonVM, RAMBytes: 384 * guestos.MiB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm1, err := r.host.LaunchVM(vm.Config{Name: "comm-1", Role: guestos.RoleCommVM, RAMBytes: 128 * guestos.MiB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.net.CanReach("comm-1", "site", "tcp") {
+		t.Fatal("unwired CommVM reaches the internet")
+	}
+	if err := r.host.WireNymbox(anon1, comm1); err != nil {
+		t.Fatal(err)
+	}
+	if !r.net.CanReach("comm-1", "site", "tcp") {
+		t.Fatal("newly wired CommVM cannot reach the internet")
+	}
+	if r.net.CanReach("comm-1", "intranet-host", "tcp") {
+		t.Fatal("newly wired CommVM reaches the intranet")
+	}
+}
+
 func TestVirtFSMoveFile(t *testing.T) {
 	r := newRig(t)
 	sani, err := r.host.LaunchVM(vm.Config{

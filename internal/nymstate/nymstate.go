@@ -304,6 +304,43 @@ func PutGzipWriter(zw *gzip.Writer) {
 	gzipWriters.Unlock()
 }
 
+// gzipReaders recycles gzip readers, each holding about 40 KB of flate
+// decompressor state, across archive and manifest opens; a plain free
+// list for the same reason as gzipWriters.
+var gzipReaders struct {
+	sync.Mutex
+	free []*gzip.Reader
+}
+
+// GetGzipReader returns a pooled gzip reader over r, with the same
+// result and header error as gzip.NewReader(r). Return it with
+// PutGzipReader.
+func GetGzipReader(r io.Reader) (*gzip.Reader, error) {
+	gzipReaders.Lock()
+	var zr *gzip.Reader
+	if k := len(gzipReaders.free) - 1; k >= 0 {
+		zr = gzipReaders.free[k]
+		gzipReaders.free = gzipReaders.free[:k]
+	}
+	gzipReaders.Unlock()
+	if zr == nil {
+		return gzip.NewReader(r)
+	}
+	if err := zr.Reset(r); err != nil {
+		PutGzipReader(zr)
+		return nil, err
+	}
+	return zr, nil
+}
+
+// PutGzipReader returns a reader from GetGzipReader to the pool; the
+// caller must not use it afterwards.
+func PutGzipReader(zr *gzip.Reader) {
+	gzipReaders.Lock()
+	gzipReaders.free = append(gzipReaders.free, zr)
+	gzipReaders.Unlock()
+}
+
 // compressedSizeModel prices an image's content post-compression: real
 // bytes are measured exactly (by gzipping them), virtual bytes via
 // VirtualWireSize.
@@ -412,10 +449,11 @@ func Open(a *Archive, password string, name string) (*State, error) {
 	if err != nil {
 		return nil, ErrBadPassword
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(plain))
+	zr, err := GetGzipReader(bytes.NewReader(plain))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadArchive, err)
 	}
+	defer PutGzipReader(zr)
 	st, err := decodeState(zr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadArchive, err)

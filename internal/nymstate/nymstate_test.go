@@ -380,3 +380,47 @@ func TestPooledGzipMatchesFreshWriter(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPooledGzipReaderMatchesFresh pins that a pooled reader fails a
+// corrupt header with the same error as gzip.NewReader and, reused
+// after that and after a stream left half read, opens an archive to
+// the same state.
+func TestPooledGzipReaderMatchesFresh(t *testing.T) {
+	var half bytes.Buffer
+	zw := gzip.NewWriter(&half)
+	zw.Write(bytes.Repeat([]byte("unrelated history "), 4096))
+	zw.Close()
+	zr, err := GetGzipReader(&half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr.Read(make([]byte, 10))
+	PutGzipReader(zr)
+	garbage := []byte("not a gzip stream")
+	_, wantErr := gzip.NewReader(bytes.NewReader(garbage))
+	if _, err := GetGzipReader(bytes.NewReader(garbage)); err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("GetGzipReader(garbage) error = %v, want %v", err, wantErr)
+	}
+
+	a, err := Seal(sampleState(), "pw", sim.NewRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := encodeState(&want, sampleState()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		st, err := Open(a, "pw", "alice-blog")
+		if err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+		var got bytes.Buffer
+		if err := encodeState(&got, st); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("open %d through a pooled reader changed the state", i)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package vault
 
 import (
 	"bytes"
-	"compress/gzip"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -279,7 +278,11 @@ func (v *Store) Index() *Index { return v.index }
 func (v *Store) manifestBlobName() string { return "vault-" + v.name + ".manifest" }
 
 // chunkBlobName is the stored name of one chunk.
-func (v *Store) chunkBlobName(a Addr) string { return "vault-" + v.name + "-c-" + a.String() }
+func (v *Store) chunkBlobName(a Addr) string {
+	var h [2 * len(Addr{})]byte
+	hex.Encode(h[:], a[:])
+	return "vault-" + v.name + "-c-" + string(h[:])
+}
 
 // chunkPrefix scopes provider listings to this nym's chunks.
 func (v *Store) chunkPrefix() string { return "vault-" + v.name + "-c-" }
@@ -924,10 +927,11 @@ func openManifest(data []byte, ks *keys, name string) (*Manifest, error) {
 		// bits; either way the vault fails closed without state.
 		return nil, nymerr.Wrap(CodeBadPassword, nymstate.ErrBadPassword, "manifest authentication")
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(plain))
+	zr, err := nymstate.GetGzipReader(bytes.NewReader(plain))
 	if err != nil {
 		return nil, nymerr.Wrapf(CodeTampered, nymstate.ErrBadArchive, "manifest decompress: %v", err)
 	}
+	defer nymstate.PutGzipReader(zr)
 	var wireForm manifestWire
 	if err := gob.NewDecoder(zr).Decode(&wireForm); err != nil {
 		return nil, nymerr.Wrapf(CodeTampered, nymstate.ErrBadArchive, "manifest decode: %v", err)

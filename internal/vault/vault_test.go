@@ -873,3 +873,16 @@ func TestBatchTransfersBeatPerBlobRoundTrips(t *testing.T) {
 		t.Fatalf("batched save (%v) not faster than per-chunk puts (%v)", batched, serial)
 	}
 }
+
+// TestChunkBlobNameFormat pins the stored chunk name: the nym's chunk
+// prefix followed by the hex chunk address.
+func TestChunkBlobNameFormat(t *testing.T) {
+	vs := NewStore("alice", Replicate, nil)
+	var a Addr
+	for i := range a {
+		a[i] = byte(i * 7)
+	}
+	if got, want := vs.chunkBlobName(a), vs.chunkPrefix()+a.String(); got != want {
+		t.Fatalf("chunkBlobName = %q, want %q", got, want)
+	}
+}

@@ -33,4 +33,12 @@
 // pair removes every route crossing the boundary in that direction,
 // fails in-flight flows with a typed vnet.partitioned code, and can
 // be scripted ahead of time with a Fault schedule (Network.Play).
+//
+// Routes are memoized per (source, destination, protocol) segment, so
+// a flow's path is a map lookup rather than a BFS. Every mutator that
+// can change a route clears the memo: Connect, SetDown, SetDownOneWay,
+// SeverRegions, SeverRegionsOneWay and HealRegions on the fabric, and
+// SetForwarding, SetPolicy, SetMasquerade, SetRegion and AddTag on a
+// node. A ForwardPolicy must therefore read only its arguments and
+// state that changes together with one of those mutators.
 package vnet

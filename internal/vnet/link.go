@@ -33,7 +33,6 @@ type Link struct {
 	down     [2]bool
 	loss     [2]float64
 	dpi      *DPIEngine
-	active   map[*Transfer]struct{}
 	captures []*Capture
 	wire     [2]float64 // bytes settled across the link per direction (continuous)
 	ledger   [2]float64 // bytes accounted at flow detach per direction (double entry)
@@ -43,16 +42,18 @@ type Link struct {
 func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	loss := clampLoss(cfg.Loss)
 	l := &Link{
-		id:     len(n.links),
-		cfg:    cfg,
-		loss:   [2]float64{loss, loss},
-		active: make(map[*Transfer]struct{}),
+		id:   len(n.links),
+		cfg:  cfg,
+		loss: [2]float64{loss, loss},
 	}
 	l.a = &NIC{node: a, link: l}
 	l.b = &NIC{node: b, link: l}
 	a.ifaces = append(a.ifaces, l.a)
 	b.ifaces = append(b.ifaces, l.b)
 	n.links = append(n.links, l)
+	n.residual = append(n.residual, 0)
+	n.count = append(n.count, 0)
+	clear(n.routes)
 	return l
 }
 
@@ -119,10 +120,11 @@ func (l *Link) rxNIC(dir int) *NIC {
 func (l *Link) SetDown(n *Network, down bool) {
 	l.down[dirAB] = down
 	l.down[dirBA] = down
+	clear(n.routes)
 	if !down {
 		return
 	}
-	l.failActive(func(*Transfer) bool { return true }, ErrLinkDown)
+	n.failActive(l, func(*Transfer) bool { return true }, ErrLinkDown)
 }
 
 // SetDownOneWay takes the direction transmitted from `from` down
@@ -132,10 +134,11 @@ func (l *Link) SetDown(n *Network, down bool) {
 func (l *Link) SetDownOneWay(n *Network, from *Node, down bool) {
 	dir := l.dirFrom(from)
 	l.down[dir] = down
+	clear(n.routes)
 	if !down {
 		return
 	}
-	l.failActive(func(t *Transfer) bool { return t.crossesDir(l, dir) }, ErrLinkDown)
+	n.failActive(l, func(t *Transfer) bool { return t.crossesDir(l, dir) }, ErrLinkDown)
 }
 
 // Down reports whether the link is down in either direction.
@@ -167,11 +170,8 @@ func (l *Link) SetDPI(n *Network, e *DPIEngine) {
 	if e == nil {
 		return
 	}
-	l.failActive(func(t *Transfer) bool {
+	n.failActive(l, func(t *Transfer) bool {
 		h := t.hopOn(l)
-		if h == nil {
-			return false
-		}
 		ruling := e.inspect(Flow{
 			Src:         t.opts.From,
 			ObservedSrc: h.observedSrc,
@@ -200,12 +200,12 @@ func (l *Link) WireBytesTotal() int64 { return round64(l.wire[dirAB] + l.wire[di
 // partition experiment's tap accounting.
 func (l *Link) LedgerBytesTotal() int64 { return round64(l.ledger[dirAB] + l.ledger[dirBA]) }
 
-// failActive fails the link's active transfers matching pred, in id
-// order for determinism.
-func (l *Link) failActive(pred func(*Transfer) bool, cause error) {
+// failActive fails the active transfers crossing l that match pred,
+// in id order for determinism.
+func (n *Network) failActive(l *Link, pred func(*Transfer) bool, cause error) {
 	var victims []*Transfer
-	for t := range l.active {
-		if pred(t) {
+	for _, t := range n.transfers {
+		if t.hopOn(l) != nil && pred(t) {
 			victims = append(victims, t)
 		}
 	}

@@ -16,13 +16,28 @@ type Network struct {
 	nodes     map[string]*Node
 	nodeOrder []*Node
 	links     []*Link
-	transfers []*Transfer // active, ordered by id for determinism
+	// transfers holds the active flows in activation order. That is
+	// not id order: flows activate after handshakes of different
+	// lengths.
+	transfers []*Transfer
 	nextID    int64
 	severed   map[regionPair]bool
 	faultLog  []AppliedFault
-	// segment's BFS scratch, reused across calls.
+	// routes memoizes segments. Every mutator that can change a route
+	// clears it: Connect, SetDown, SetDownOneWay, SeverRegions,
+	// SeverRegionsOneWay and HealRegions on the fabric, and
+	// SetForwarding, SetPolicy, SetMasquerade, SetRegion and AddTag on
+	// a node. Link loss and DPI are read live from the hops at
+	// admission, so they need no clear.
+	routes map[segKey]segRoute
+	// bfs scratch, reused across calls.
 	bfsPrev  map[*Node]*NIC
 	bfsQueue []bfsVisit
+	// recompute scratch: residual and count are indexed by Link.id,
+	// unfrozen runs parallel to transfers.
+	residual []float64
+	count    []int
+	unfrozen []bool
 }
 
 // New returns an empty network on eng.
@@ -31,6 +46,7 @@ func New(eng *sim.Engine) *Network {
 		eng:     eng,
 		nodes:   make(map[string]*Node),
 		severed: make(map[regionPair]bool),
+		routes:  make(map[segKey]segRoute),
 		bfsPrev: make(map[*Node]*NIC),
 	}
 }
@@ -44,6 +60,13 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 // are not policy-checked for their own traffic; only transit hops are.
 // A policy must not compute routes (CanReach, PathLatency, transfers)
 // on the network that calls it.
+//
+// Routes are memoized until the fabric changes, so a policy's answer
+// may depend only on its arguments and on state that changes together
+// with one of the route-clearing mutators listed on Network.routes
+// (for example a set of links that is updated right next to Connect
+// or SetDown). A policy reading any other mutable state would be
+// answered from a stale memo.
 type ForwardPolicy func(in, out *NIC, proto string, dst *Node) bool
 
 // Node is a host, VM, relay, or service attachment point.
@@ -87,6 +110,7 @@ func (nd *Node) AddTag(tag string) *Node {
 		nd.tags = make(map[string]bool)
 	}
 	nd.tags[tag] = true
+	clear(nd.net.routes)
 	return nd
 }
 
@@ -94,25 +118,38 @@ func (nd *Node) AddTag(tag string) *Node {
 func (nd *Node) HasTag(tag string) bool { return nd.tags[tag] }
 
 // SetForwarding enables or disables transit through this node.
-func (nd *Node) SetForwarding(on bool) *Node { nd.noTrans = !on; return nd }
+func (nd *Node) SetForwarding(on bool) *Node {
+	nd.noTrans = !on
+	clear(nd.net.routes)
+	return nd
+}
 
 // SetPolicy installs a forwarding policy (implies forwarding enabled).
 func (nd *Node) SetPolicy(p ForwardPolicy) *Node {
 	nd.policy = p
 	nd.noTrans = false
+	clear(nd.net.routes)
 	return nd
 }
 
 // SetMasquerade makes the node a NAT: traffic it forwards is observed
 // downstream with this node as its source, hiding the true origin —
 // KVM user-mode NAT in the paper's prototype.
-func (nd *Node) SetMasquerade(on bool) *Node { nd.masq = on; return nd }
+func (nd *Node) SetMasquerade(on bool) *Node {
+	nd.masq = on
+	clear(nd.net.routes)
+	return nd
+}
 
 // SetRegion labels the node with a region name. Region labels drive
 // SeverRegions: a flow whose path crosses from one labelled region
 // into another follows the sever map. Unlabelled nodes ("") belong to
 // no region and never match a sever.
-func (nd *Node) SetRegion(region string) *Node { nd.region = region; return nd }
+func (nd *Node) SetRegion(region string) *Node {
+	nd.region = region
+	clear(nd.net.routes)
+	return nd
+}
 
 // Region returns the node's region label ("" if unlabelled).
 func (nd *Node) Region() string { return nd.region }

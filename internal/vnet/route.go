@@ -12,55 +12,74 @@ type hop struct {
 	observedSrc string // source name visible on this link (post-NAT)
 }
 
-// route finds a policy-respecting path from src to dst, optionally
-// through waypoints (each waypoint acts as a proxy terminating and
-// re-originating the flow, like a Tor relay). It returns the hops in
-// order.
-func (n *Network) route(src, dst *Node, via []*Node, proto string) ([]hop, error) {
-	points := append([]*Node{src}, via...)
-	points = append(points, dst)
-	var hops []hop
+// segKey identifies one memoized segment: a path from src to dst
+// carrying proto traffic.
+type segKey struct {
+	src, dst *Node
+	proto    string
+}
+
+// segRoute is a memoized segment: its hops with observedSrc already
+// applied, or the sentinel error (ErrNoRoute or ErrPartitioned) its
+// BFS ended with. The hops slice is shared by every lookup and must
+// never be handed out or modified.
+type segRoute struct {
+	hops []hop
+	err  error
+}
+
+// route finds a policy-respecting path along points: the source,
+// each waypoint, then the destination. Each waypoint acts as a proxy
+// terminating and re-originating the flow, like a Tor relay. It
+// returns the hops in order, in a fresh slice the caller owns.
+func (n *Network) route(points []*Node, proto string) ([]hop, error) {
+	var buf [4][]hop
+	segs := buf[:0]
+	total := 0
 	for i := 0; i+1 < len(points); i++ {
-		seg, err := n.segment(points[i], points[i+1], proto)
-		if err != nil {
-			return nil, fmt.Errorf("%w (%s -> %s)", err, points[i].name, points[i+1].name)
+		seg := n.segment(points[i], points[i+1], proto)
+		if seg.err != nil {
+			return nil, fmt.Errorf("%w (%s -> %s)", seg.err, points[i].name, points[i+1].name)
 		}
-		// The segment originates at points[i]; NAT nodes along it rewrite
-		// the observed source.
-		observed := points[i].name
-		node := points[i]
-		for _, l := range seg {
-			var next *NIC
-			dir := dirAB
-			if l.a.node == node {
-				next = l.b
-			} else {
-				next = l.a
-				dir = dirBA
-			}
-			hops = append(hops, hop{link: l, dir: dir, observedSrc: observed})
-			node = next.node
-			if node.masq {
-				observed = node.name
-			}
-		}
+		segs = append(segs, seg.hops)
+		total += len(seg.hops)
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	hops := make([]hop, 0, total)
+	for _, seg := range segs {
+		hops = append(hops, seg...)
 	}
 	return hops, nil
 }
 
-// bfsVisit is one node on segment's BFS queue.
+// segment returns the memoized route from src to dst for proto,
+// computing it with a BFS on a miss. The memo is cleared by every
+// mutator that can change a route (see Network.routes).
+func (n *Network) segment(src, dst *Node, proto string) segRoute {
+	key := segKey{src, dst, proto}
+	r, ok := n.routes[key]
+	if !ok {
+		r.hops, r.err = n.bfs(src, dst, proto)
+		n.routes[key] = r
+	}
+	return r
+}
+
+// bfsVisit is one node on bfs's queue.
 type bfsVisit struct {
 	node *Node
 	in   *NIC // NIC we arrived on (nil at src)
 }
 
-// segment runs a BFS from src to dst honoring per-direction link
-// state, region severs, and transit policies. Deterministic: neighbors
+// bfs searches from src to dst honoring per-direction link state,
+// region severs, and transit policies. Deterministic: neighbors
 // expand in link-creation order. When the only thing standing between
 // src and dst is a severed region boundary, the error is
 // vnet.partitioned rather than vnet.no_route, so callers can tell a
 // partition from a topology hole.
-func (n *Network) segment(src, dst *Node, proto string) ([]*Link, error) {
+func (n *Network) bfs(src, dst *Node, proto string) ([]hop, error) {
 	if src == dst {
 		return nil, nil
 	}
@@ -73,7 +92,7 @@ func (n *Network) segment(src, dst *Node, proto string) ([]*Link, error) {
 	sawSever := false
 	// prev maps each reached node to the NIC it was reached through
 	// (nil at src); the scratch is reused because transit policies never
-	// route, so segment does not re-enter.
+	// route, so bfs does not re-enter.
 	prev := n.bfsPrev
 	clear(prev)
 	prev[src] = nil
@@ -104,19 +123,7 @@ func (n *Network) segment(src, dst *Node, proto string) ([]*Link, error) {
 			}
 			prev[peer.node] = peer
 			if peer.node == dst {
-				// Reconstruct.
-				var links []*Link
-				at := dst
-				for at != src {
-					in := prev[at]
-					links = append(links, in.link)
-					at = in.Peer().node
-				}
-				// Reverse.
-				for i, j := 0, len(links)-1; i < j; i, j = i+1, j-1 {
-					links[i], links[j] = links[j], links[i]
-				}
-				return links, nil
+				return pathHops(src, dst, prev), nil
 			}
 			queue = append(queue, bfsVisit{node: peer.node, in: peer})
 		}
@@ -127,6 +134,31 @@ func (n *Network) segment(src, dst *Node, proto string) ([]*Link, error) {
 	return nil, ErrNoRoute
 }
 
+// pathHops walks bfs's prev map back from dst into an exactly sized
+// hop slice. The segment originates at src; NAT nodes along it
+// rewrite the source observed on later hops.
+func pathHops(src, dst *Node, prev map[*Node]*NIC) []hop {
+	k := 0
+	for at := dst; at != src; at = prev[at].Peer().node {
+		k++
+	}
+	hops := make([]hop, k)
+	for at := dst; at != src; {
+		tx := prev[at].Peer()
+		k--
+		hops[k] = hop{link: tx.link, dir: tx.link.dirFrom(tx.node)}
+		at = tx.node
+	}
+	observed := src.name
+	for i := range hops {
+		hops[i].observedSrc = observed
+		if rx := hops[i].link.rxNIC(hops[i].dir).node; rx.masq {
+			observed = rx.name
+		}
+	}
+	return hops
+}
+
 // CanReach reports whether src can currently route proto traffic to
 // dst. This is the probe primitive behind the section 5.1 isolation
 // matrix.
@@ -135,8 +167,7 @@ func (n *Network) CanReach(src, dst string, proto string) bool {
 	if s == nil || d == nil {
 		return false
 	}
-	_, err := n.segment(s, d, proto)
-	return err == nil
+	return n.segment(s, d, proto).err == nil
 }
 
 // PathLatency returns the one-way latency between two nodes along the
@@ -146,11 +177,11 @@ func (n *Network) PathLatency(src, dst string, via ...string) (time.Duration, er
 	if s == nil || d == nil {
 		return 0, ErrNoRoute
 	}
-	vias, err := n.viaNodes(via)
+	points, err := n.chain(s, d, via)
 	if err != nil {
 		return 0, err
 	}
-	hops, err := n.route(s, d, vias, "probe")
+	hops, err := n.route(points, "probe")
 	if err != nil {
 		return 0, err
 	}
@@ -161,14 +192,17 @@ func (n *Network) PathLatency(src, dst string, via ...string) (time.Duration, er
 	return total, nil
 }
 
-func (n *Network) viaNodes(names []string) ([]*Node, error) {
-	var out []*Node
-	for _, name := range names {
+// chain resolves a route's node chain: src, each named waypoint in
+// order, then dst.
+func (n *Network) chain(src, dst *Node, via []string) ([]*Node, error) {
+	points := make([]*Node, 0, len(via)+2)
+	points = append(points, src)
+	for _, name := range via {
 		nd := n.nodes[name]
 		if nd == nil {
 			return nil, fmt.Errorf("%w: waypoint %q", ErrNoRoute, name)
 		}
-		out = append(out, nd)
+		points = append(points, nd)
 	}
-	return out, nil
+	return append(points, dst), nil
 }

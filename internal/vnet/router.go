@@ -49,6 +49,7 @@ func (n *Network) SeverRegionsOneWay(from, to string) {
 func (n *Network) HealRegions(a, b string) {
 	delete(n.severed, regionPair{a, b})
 	delete(n.severed, regionPair{b, a})
+	clear(n.routes)
 }
 
 // RegionSevered reports whether the from→to direction of the boundary
@@ -62,6 +63,7 @@ func (n *Network) severOne(from, to string) {
 		return
 	}
 	n.severed[regionPair{from, to}] = true
+	clear(n.routes)
 	// Fail the in-flight flows the new sever cuts, in id order.
 	var victims []*Transfer
 	for _, t := range n.transfers {
@@ -90,8 +92,8 @@ func (n *Network) regionCut(f, t *Node) bool {
 // traversal direction, or a segment's endpoints straddle one (which
 // covers regions that are not physically adjacent).
 func (n *Network) partitionBlocked(t *Transfer) bool {
-	for _, seg := range t.segEnds {
-		if n.regionCut(seg[0], seg[1]) {
+	for i := 0; i+1 < len(t.points); i++ {
+		if n.regionCut(t.points[i], t.points[i+1]) {
 			return true
 		}
 	}

@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"nymix/internal/sim"
@@ -35,12 +36,14 @@ type Transfer struct {
 	net        *Network
 	opts       TransferOpts
 	hops       []hop
-	segEnds    [][2]*Node // (origin, destination) of each proxy segment
+	finite     []*Link // distinct finite-capacity links of hops, in first-crossing order
+	points     []*Node // source, Via waypoints, destination: the proxy segments' ends
 	remaining  float64
 	delivered  float64 // wire bytes settled so far (feeds the detach ledger)
 	rate       float64
 	lastUpdate sim.Time
 	timer      *sim.Timer
+	onETA      func() // finishes the flow; built once, rescheduled by every recompute
 	fut        *sim.Future[Result]
 	started    sim.Time
 	active     bool
@@ -77,12 +80,12 @@ func (n *Network) StartTransfer(opts TransferOpts) *sim.Future[Result] {
 		n.eng.Schedule(0, func() { fut.Complete(Result{}, fmt.Errorf("%w: unknown endpoint", ErrNoRoute)) })
 		return fut
 	}
-	vias, err := n.viaNodes(opts.Via)
+	points, err := n.chain(src, dst, opts.Via)
 	if err != nil {
 		n.eng.Schedule(0, func() { fut.Complete(Result{}, err) })
 		return fut
 	}
-	hops, err := n.route(src, dst, vias, opts.Proto)
+	hops, err := n.route(points, opts.Proto)
 	if err != nil {
 		// Silent drop: the failure surfaces only after a probe timeout.
 		n.eng.Schedule(3*time.Second, func() { fut.Complete(Result{}, err) })
@@ -131,22 +134,18 @@ func (n *Network) StartTransfer(opts TransferOpts) *sim.Future[Result] {
 			wire /= 1 - p
 		}
 	}
-	points := append([]*Node{src}, vias...)
-	points = append(points, dst)
-	segEnds := make([][2]*Node, 0, len(points)-1)
-	for i := 0; i+1 < len(points); i++ {
-		segEnds = append(segEnds, [2]*Node{points[i], points[i+1]})
-	}
 	t := &Transfer{
 		id:        n.nextID,
 		net:       n,
 		opts:      opts,
 		hops:      hops,
-		segEnds:   segEnds,
+		finite:    finiteLinks(hops),
+		points:    points,
 		remaining: wire,
 		fut:       fut,
 		started:   n.eng.Now(),
 	}
+	t.onETA = func() { n.finish(t) }
 	n.nextID++
 	var setup time.Duration
 	for _, h := range hops {
@@ -157,6 +156,18 @@ func (n *Network) StartTransfer(opts TransferOpts) *sim.Future[Result] {
 	}
 	n.eng.Schedule(setup, func() { n.activate(t) })
 	return fut
+}
+
+// finiteLinks lists the distinct finite-capacity links of hops in
+// first-crossing order: the links a flow's rate allocation draws on.
+func finiteLinks(hops []hop) []*Link {
+	out := make([]*Link, 0, len(hops))
+	for _, h := range hops {
+		if h.link.cfg.Capacity > 0 && !slices.Contains(out, h.link) {
+			out = append(out, h.link)
+		}
+	}
+	return out
 }
 
 func (n *Network) activate(t *Transfer) {
@@ -181,7 +192,6 @@ func (n *Network) activate(t *Transfer) {
 	t.active = true
 	t.lastUpdate = n.eng.Now()
 	for _, h := range t.hops {
-		h.link.active[t] = struct{}{}
 		for _, c := range h.link.captures {
 			c.Entries = append(c.Entries, CaptureEntry{
 				Time:        n.eng.Now(),
@@ -240,7 +250,9 @@ func (t *Transfer) credit(moved float64) {
 
 // recompute reruns max-min fair allocation across all active flows and
 // reschedules their completion events. Called on every flow start and
-// finish.
+// finish. Its bookkeeping allocates nothing: per-link state lives in
+// scratch slices indexed by Link.id, and each flow carries its distinct
+// finite links.
 func (n *Network) recompute() {
 	now := n.eng.Now()
 	// Settle progress at the old rates.
@@ -252,45 +264,41 @@ func (n *Network) recompute() {
 		}
 		t.rate = 0
 	}
-	// Progressive filling (max-min fairness).
-	residual := make(map[*Link]float64)
-	unfrozen := make(map[*Transfer]bool, len(n.transfers))
+	// Progressive filling (max-min fairness). Only the residual and
+	// count entries of links some active flow crosses are written or
+	// read.
+	residual, count := n.residual, n.count
+	unfrozen := n.unfrozen[:0]
 	for _, t := range n.transfers {
-		unfrozen[t] = true
-		for _, h := range t.hops {
-			if h.link.cfg.Capacity > 0 {
-				residual[h.link] = h.link.cfg.Capacity
-			}
+		unfrozen = append(unfrozen, true)
+		for _, l := range t.finite {
+			residual[l.id] = l.cfg.Capacity
+			count[l.id] = 0
 		}
 	}
-	for len(unfrozen) > 0 {
-		// Count unfrozen flows per finite link.
-		count := make(map[*Link]int)
-		for _, t := range n.transfers {
-			if !unfrozen[t] {
+	n.unfrozen = unfrozen
+	// count holds the unfrozen flows per finite link.
+	for _, t := range n.transfers {
+		for _, l := range t.finite {
+			count[l.id]++
+		}
+	}
+	for left := len(unfrozen); left > 0; {
+		// Smallest allowable uniform increment.
+		delta := -1.0
+		for i, t := range n.transfers {
+			if !unfrozen[i] {
 				continue
 			}
-			seen := map[*Link]bool{}
-			for _, h := range t.hops {
-				if h.link.cfg.Capacity > 0 && !seen[h.link] {
-					count[h.link]++
-					seen[h.link] = true
+			for _, l := range t.finite {
+				share := residual[l.id] / float64(count[l.id])
+				if delta < 0 || share < delta {
+					delta = share
 				}
 			}
 		}
-		// Smallest allowable uniform increment.
-		delta := -1.0
-		for l, c := range count {
-			if c == 0 {
-				continue
-			}
-			share := residual[l] / float64(c)
-			if delta < 0 || share < delta {
-				delta = share
-			}
-		}
-		for _, t := range n.transfers {
-			if unfrozen[t] {
+		for i, t := range n.transfers {
+			if unfrozen[i] {
 				head := t.opts.MaxRate - t.rate
 				if delta < 0 || head < delta {
 					delta = head
@@ -301,35 +309,25 @@ func (n *Network) recompute() {
 			delta = 0
 		}
 		// Apply the increment and freeze saturated flows.
-		for _, t := range n.transfers {
-			if !unfrozen[t] {
+		for i, t := range n.transfers {
+			if !unfrozen[i] {
 				continue
 			}
 			t.rate += delta
-			seen := map[*Link]bool{}
-			for _, h := range t.hops {
-				if h.link.cfg.Capacity > 0 && !seen[h.link] {
-					residual[h.link] -= delta
-					seen[h.link] = true
-				}
+			for _, l := range t.finite {
+				residual[l.id] -= delta
 			}
 		}
 		frozeAny := false
-		for _, t := range n.transfers {
-			if !unfrozen[t] {
+		for i, t := range n.transfers {
+			if !unfrozen[i] || !t.saturated(residual) {
 				continue
 			}
-			if t.rate >= t.opts.MaxRate-1e-9 {
-				delete(unfrozen, t)
-				frozeAny = true
-				continue
-			}
-			for _, h := range t.hops {
-				if h.link.cfg.Capacity > 0 && residual[h.link] <= 1e-9 {
-					delete(unfrozen, t)
-					frozeAny = true
-					break
-				}
+			unfrozen[i] = false
+			left--
+			frozeAny = true
+			for _, l := range t.finite {
+				count[l.id]--
 			}
 		}
 		if !frozeAny {
@@ -340,7 +338,6 @@ func (n *Network) recompute() {
 	}
 	// Schedule completions.
 	for _, t := range n.transfers {
-		t := t
 		if t.rate <= 0 {
 			continue // starved (e.g. zero-capacity path); fails only on link-down
 		}
@@ -348,8 +345,22 @@ func (n *Network) recompute() {
 		if eta < 0 {
 			eta = 0
 		}
-		t.timer = n.eng.Schedule(eta, func() { n.finish(t) })
+		t.timer = n.eng.Schedule(eta, t.onETA)
 	}
+}
+
+// saturated reports whether the flow has reached its rate cap or
+// crosses a link with no residual capacity left.
+func (t *Transfer) saturated(residual []float64) bool {
+	if t.rate >= t.opts.MaxRate-1e-9 {
+		return true
+	}
+	for _, l := range t.finite {
+		if residual[l.id] <= 1e-9 {
+			return true
+		}
+	}
+	return false
 }
 
 func (n *Network) finish(t *Transfer) {
@@ -400,7 +411,6 @@ func (t *Transfer) detach() {
 	}
 	for _, h := range t.hops {
 		h.link.ledger[h.dir] += t.delivered
-		delete(h.link.active, t)
 	}
 	for i, other := range t.net.transfers {
 		if other == t {
