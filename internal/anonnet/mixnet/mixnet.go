@@ -8,9 +8,9 @@
 // the uplink sees an unvarying packet stream whether the user is
 // browsing or idle, which is exactly what defeats traffic-volume
 // correlation and exactly what makes anonymity cost uplink bytes
-// around the clock. Fleet wire admission reserves against that idle
-// rate (IdleWireRate), and the MixnetFrontier experiment measures the
-// resulting anonymity-vs-cost trade.
+// around the clock. The fleet reports that idle rate (IdleWireRate) as
+// its standing cover-traffic bill, and the MixnetFrontier experiment
+// measures the resulting anonymity-vs-cost trade.
 package mixnet
 
 import (

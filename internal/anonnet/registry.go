@@ -40,7 +40,8 @@ type TransportInfo struct {
 	// IdleWireRate is the uplink rate in bytes per second the
 	// transport transmits even when no request is in flight — the
 	// mixnet's constant-rate cover traffic. Zero for demand-driven
-	// transports. Fleet wire admission reserves against this figure.
+	// transports. The fleet sums this figure into its standing
+	// cover-traffic rate.
 	IdleWireRate float64
 }
 

@@ -134,9 +134,6 @@ func (c *Client) SetGuardSeed(seed string) { c.guardSeed = seed }
 // Guard returns the selected entry guard ("" before selection).
 func (c *Client) Guard() string { return c.guard }
 
-// CircuitsBuilt returns how many circuits this client has built.
-func (c *Client) CircuitsBuilt() int { return c.built }
-
 // dirNode returns the directory authority: the first relay.
 func (c *Client) dirNode() string { return c.relays[0].NodeName }
 

@@ -341,11 +341,10 @@ func (c *Cluster) nextDrainMember(h *Host) *fleet.Member {
 }
 
 // drainDestination returns the least-reserved placeable host that can
-// admit the member's footprint and wire rate, or nil —
-// destinationUnder with no share ceiling: a drain takes any host with
-// room.
+// admit the member's footprint, or nil — destinationUnder with no
+// share ceiling: a drain takes any host with room.
 func (c *Cluster) drainDestination(src *Host, m *fleet.Member) *Host {
-	return c.destinationUnder(src, m.Footprint(), m.WireRate(), 2)
+	return c.destinationUnder(src, m.Footprint(), 2)
 }
 
 // needsPreempt reports whether cluster-queue preemption has work: the

@@ -386,30 +386,6 @@ func (c *Cluster) placeableHosts() []*Host {
 	return out
 }
 
-// wireFits reports whether a host's wire budget could ever admit the
-// rate (uncapped or within capacity).
-func wireFits(h *Host, rate int64) bool {
-	b := h.orch.WireBudgetRate()
-	return b < 0 || rate <= b
-}
-
-// wireHosts filters hosts that can admit an idle uplink rate right
-// now. Cover-traffic budgets gate placement the same way RAM headroom
-// does: the policy must never park a constant-rate nym on a host whose
-// wire budget is already spoken for.
-func wireHosts(hosts []*Host, rate int64) []*Host {
-	if rate <= 0 {
-		return hosts
-	}
-	out := make([]*Host, 0, len(hosts))
-	for _, h := range hosts {
-		if h.orch.CanAdmitWire(rate) {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
 // Host returns a pool member by name, or nil.
 func (c *Cluster) Host(name string) *Host {
 	for _, h := range c.hosts {
@@ -466,20 +442,19 @@ func (c *Cluster) Launch(spec fleet.Spec) error {
 		return nymerr.Newf(CodeDuplicateNym, "cluster: nym %q already launched", spec.Name)
 	}
 	fp := spec.Opts.Footprint()
-	rate := fleet.WireRateFor(spec.Opts)
 	feasible := false
 	for _, h := range c.hosts {
-		if fp <= h.orch.RAMBudgetBytes() && wireFits(h, rate) {
+		if fp <= h.orch.RAMBudgetBytes() {
 			feasible = true
 			break
 		}
 	}
 	if !feasible {
-		return fmt.Errorf("%w: %q needs %d bytes and %d B/s of idle uplink", ErrNeverPlaceable, spec.Name, fp, rate)
+		return fmt.Errorf("%w: %q needs %d bytes", ErrNeverPlaceable, spec.Name, fp)
 	}
 	c.specs[spec.Name] = spec
 	c.launchedAt[spec.Name] = c.eng.Now()
-	if h := c.cfg.Policy.Pick(wireHosts(c.placeableHosts(), rate), fp); h != nil {
+	if h := c.cfg.Policy.Pick(c.placeableHosts(), fp); h != nil {
 		return c.place(h, spec, nil)
 	}
 	c.enqueue(pendingLaunch{spec: spec, pri: spec.EffectivePriority()})
@@ -574,8 +549,7 @@ func (c *Cluster) watchRestored(h *Host, m *fleet.Member) {
 func (c *Cluster) dispatch() {
 	for len(c.pending) > 0 {
 		head := c.pending[0]
-		hosts := wireHosts(c.placeableHosts(), fleet.WireRateFor(head.spec.Opts))
-		h := c.cfg.Policy.Pick(hosts, head.spec.Opts.Footprint())
+		h := c.cfg.Policy.Pick(c.placeableHosts(), head.spec.Opts.Footprint())
 		if h == nil {
 			return
 		}
@@ -703,7 +677,7 @@ type Stats struct {
 	PerHostRunning     []int
 	PerHostShare       []float64
 	PeakRAMBytes       int64 // max over hosts
-	// WireReservedRate sums each active host's admitted idle uplink
+	// WireReservedRate sums each active host's launched idle uplink
 	// (bytes/sec) — the pool's standing cover-traffic bill.
 	WireReservedRate int64
 }

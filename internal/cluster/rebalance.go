@@ -213,10 +213,9 @@ func (c *Cluster) movable(m *fleet.Member, skip map[string]bool) bool {
 }
 
 // coldDestination returns the least-loaded host under the cold
-// watermark that can admit the member's footprint and wire rate, or
-// nil.
+// watermark that can admit the member's footprint, or nil.
 func (c *Cluster) coldDestination(src *Host, m *fleet.Member) *Host {
-	return c.destinationUnder(src, m.Footprint(), m.WireRate(), coldShare)
+	return c.destinationUnder(src, m.Footprint(), coldShare)
 }
 
 // destinationUnder returns the least-loaded placeable host (excluding
@@ -225,14 +224,11 @@ func (c *Cluster) coldDestination(src *Host, m *fleet.Member) *Host {
 // coldShare (migrating onto a warm host would just move the
 // hot spot); a drain passes a ceiling above 1 — any host with room
 // will do.
-func (c *Cluster) destinationUnder(src *Host, footprint, wireRate int64, shareCeiling float64) *Host {
+func (c *Cluster) destinationUnder(src *Host, footprint int64, shareCeiling float64) *Host {
 	var best *Host
 	var bestShare float64
 	for _, h := range c.hosts {
 		if h == src || !h.placeable() || !h.orch.CanAdmit(footprint) {
-			continue
-		}
-		if wireRate > 0 && !h.orch.CanAdmitWire(wireRate) {
 			continue
 		}
 		share := h.ReservedShare()

@@ -21,8 +21,9 @@ func (o Options) Footprint() int64 {
 // WireFootprint returns the idle uplink rate in bytes per second a
 // nymbox with these options holds on the host's wire even when no
 // request is in flight — the mixnet's constant-rate cover traffic.
-// Zero for demand-driven transports. Fleet wire admission reserves
-// against this figure the way RAM admission reserves Footprint.
+// Zero for demand-driven transports. The fleet reports it as the
+// member's share of the standing cover-traffic rate; admission is by
+// Footprint alone.
 func (o Options) WireFootprint() float64 {
 	o.fillDefaults()
 	kinds := o.Chain

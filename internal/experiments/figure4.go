@@ -96,13 +96,6 @@ func Figure4(seed uint64) ([]Figure4Row, error) {
 	return rows, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // RenderFigure4 prints the series.
 func RenderFigure4(rows []Figure4Row) string {
 	var t table

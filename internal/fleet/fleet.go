@@ -45,19 +45,13 @@ const (
 )
 
 // Config parameterizes an Orchestrator. The zero value never
-// restarts, evicts only ephemeral nyms, and leaves idle wire uncapped.
+// restarts and evicts only ephemeral nyms.
 type Config struct {
 	// Restart is the per-member failure policy.
 	Restart RestartPolicy
 	// Preempt is the vault channel PreemptOne evicts durable members
 	// through; see PreemptConfig.
 	Preempt PreemptConfig
-	// WireBudget is the admissible idle uplink rate in bytes per
-	// second (0 = uncapped). Constant-rate transports (the mixnet's
-	// cover traffic) hold wire even when no request is in flight, so
-	// admission reserves each member's Options.WireFootprint against
-	// this budget the way RAM admission reserves Footprint.
-	WireBudget float64
 }
 
 // MemberState is a fleet member's lifecycle state.
@@ -156,7 +150,7 @@ func (s Spec) EffectivePriority() Priority {
 type Member struct {
 	spec      Spec
 	footprint int64
-	wireRate  int64 // idle uplink bytes/sec held while admitted
+	wireRate  int64 // idle uplink bytes/sec counted while launched
 	pri       Priority
 	state     MemberState
 	nym       *core.Nym
@@ -191,9 +185,6 @@ type Member struct {
 	// cluster placement layer that spreads a batch across hosts must
 	// see each placement it just made.
 	pendingRes *sim.Future[struct{}]
-	// pendingWire is the wire-rate reservation enqueued alongside
-	// pendingRes; nil for members with no idle wire footprint.
-	pendingWire *sim.Future[struct{}]
 	// cad is the member's adaptive sweep cadence state: the dirty
 	// byte-rate estimate and the staleness bookkeeping the scheduler
 	// reads to scale this member's next sweep eligibility.
@@ -271,11 +262,6 @@ func (m *Member) RunningAt() sim.Time { return m.runningAt }
 // Footprint returns the host RAM the member reserves while admitted.
 func (m *Member) Footprint() int64 { return m.footprint }
 
-// WireRate returns the idle uplink rate (bytes/sec) the member holds
-// against the wire budget while admitted — the cover-traffic cost of
-// its anonymizer chain, zero for demand-driven transports.
-func (m *Member) WireRate() int64 { return m.wireRate }
-
 // Priority returns the member's resolved admission class.
 func (m *Member) Priority() Priority { return m.pri }
 
@@ -315,8 +301,11 @@ type Orchestrator struct {
 	cfg Config
 
 	ram       *sem // host RAM reservations, bytes
-	wire      *sem // idle uplink reservations, bytes/sec
 	startGate *sem // concurrent startup pipelines
+	// wireReserved counts each member's idle uplink rate (bytes/sec)
+	// from the moment its RAM reservation is requested until it is
+	// released.
+	wireReserved int64
 
 	members map[string]*Member
 	order   []string
@@ -372,17 +361,12 @@ func New(mgr *core.Manager, cfg Config) *Orchestrator {
 			budget = 0
 		}
 	}
-	wireBudget := int64(-1) // uncapped by default
-	if cfg.WireBudget > 0 {
-		wireBudget = int64(cfg.WireBudget)
-	}
 	eng := mgr.Engine()
 	return &Orchestrator{
 		mgr:       mgr,
 		eng:       eng,
 		cfg:       cfg,
 		ram:       newSem(eng, budget),
-		wire:      newSem(eng, wireBudget),
 		startGate: newSem(eng, int64(startsPerCore*host.CPU().Config().Cores)),
 		members:   make(map[string]*Member),
 		watchers:  sim.NewBroadcast(eng),
@@ -419,27 +403,10 @@ func (o *Orchestrator) CanAdmit(footprint int64) bool {
 	return o.ram.queued() == 0 && footprint <= o.HeadroomBytes()
 }
 
-// WireBudgetRate returns the admissible idle uplink budget in
-// bytes/sec, or -1 when uncapped.
-func (o *Orchestrator) WireBudgetRate() int64 {
-	if o.cfg.WireBudget <= 0 {
-		return -1
-	}
-	return o.wire.capacity
-}
-
-// WireReservedRate returns the idle uplink rate (bytes/sec) currently
-// admitted — the fleet's standing cover-traffic bill.
-func (o *Orchestrator) WireReservedRate() int64 { return o.wire.used }
-
-// QueuedWireLaunches returns launches parked for wire admission.
-func (o *Orchestrator) QueuedWireLaunches() int { return o.wire.queued() }
-
-// CanAdmitWire reports whether an idle wire rate fits the wire budget
-// immediately; always true on an uncapped host.
-func (o *Orchestrator) CanAdmitWire(rate int64) bool {
-	return o.wire.queued() == 0 && rate <= o.wire.capacity-o.wire.used
-}
+// WireReservedRate returns the idle uplink rate (bytes/sec) of the
+// launched members, queued ones included — the fleet's standing
+// cover-traffic bill.
+func (o *Orchestrator) WireReservedRate() int64 { return o.wireReserved }
 
 // PeakRAMBytes returns the highest physical host memory use sampled
 // during fleet operations.
@@ -472,8 +439,8 @@ func (o *Orchestrator) CountState(s MemberState) int {
 func (o *Orchestrator) Running() int { return o.CountState(StateRunning) }
 
 // WireRateFor returns the integral idle uplink rate (bytes/sec) a nym
-// with these options reserves against a host's wire budget — its
-// chain's cover-traffic cost, rounded up to whole bytes.
+// with these options adds to WireReservedRate — its chain's
+// cover-traffic cost, rounded up to whole bytes.
 func WireRateFor(opts core.Options) int64 {
 	return int64(math.Ceil(opts.WireFootprint()))
 }
@@ -503,21 +470,10 @@ func (o *Orchestrator) Launch(spec Spec) (*Member, error) {
 		o.recordFailure(spec.Name, "launch", m.lastErr)
 		return m, m.lastErr
 	}
-	if m.wireRate > o.wire.capacity {
-		m.state = StateFailed
-		m.lastErr = fmt.Errorf("%w: %q holds %d B/s of idle uplink, wire budget is %d",
-			ErrNeverAdmissible, spec.Name, m.wireRate, o.wire.capacity)
-		o.members[spec.Name] = m
-		o.order = append(o.order, spec.Name)
-		o.recordFailure(spec.Name, "launch", m.lastErr)
-		return m, m.lastErr
-	}
 	o.members[spec.Name] = m
 	o.order = append(o.order, spec.Name)
 	m.pendingRes = o.ram.reservePri(m.footprint, int(m.pri))
-	if m.wireRate > 0 {
-		m.pendingWire = o.wire.reservePri(m.wireRate, int(m.pri))
-	}
+	o.wireReserved += m.wireRate
 	o.superviseLaunch(m, 0)
 	return m, nil
 }
@@ -572,45 +528,23 @@ func (o *Orchestrator) superviseLaunch(m *Member, delay time.Duration) {
 func (o *Orchestrator) runLaunch(p *sim.Proc, m *Member) {
 	res := m.pendingRes
 	m.pendingRes = nil
-	wres := m.pendingWire
-	m.pendingWire = nil
 	for {
-		if m.detached && res == nil && wres == nil {
+		if m.detached && res == nil {
 			return
 		}
 		if res == nil {
 			res = o.ram.reservePri(m.footprint, int(m.pri))
+			o.wireReserved += m.wireRate
 		}
-		if wres == nil && m.wireRate > 0 {
-			wres = o.wire.reservePri(m.wireRate, int(m.pri))
-		}
-		// Already-enqueued reservations must be seen through even if
-		// the member detaches meanwhile: each eventual grant is
-		// released below, never leaked in a semaphore's queue. Both
-		// queues admit strict priority-FIFO with the same ordering, so
-		// holding one grant while parked for the other cannot deadlock.
+		// An already-enqueued reservation must be seen through even if
+		// the member detaches meanwhile: its eventual grant is released
+		// below, never leaked in the semaphore's queue.
 		_, err := sim.Await(p, res)
 		res = nil
-		ramHeld := err == nil
-		var werr error
-		wireHeld := false
-		if wres != nil {
-			_, werr = sim.Await(p, wres)
-			wres = nil
-			wireHeld = werr == nil
-		}
-		if err == nil {
-			err = werr
-		}
 		if err != nil {
 			// Oversized for the whole budget — Launch pre-checks this, so
 			// only a shrunken budget could trip it; fail, don't wedge.
-			if ramHeld {
-				o.ram.release(m.footprint)
-			}
-			if wireHeld {
-				o.wire.release(m.wireRate)
-			}
+			o.wireReserved -= m.wireRate
 			m.lastErr = err
 			o.recordFailure(m.spec.Name, "launch", err)
 			o.setState(m, StateFailed)
@@ -657,14 +591,11 @@ func (o *Orchestrator) runLaunch(p *sim.Proc, m *Member) {
 	}
 }
 
-// releaseAdmission returns an admitted member's RAM and wire-rate
-// reservations to their semaphores. Every release site pairs the two:
-// a member either holds both grants or neither.
+// releaseAdmission returns an admitted member's RAM reservation to
+// its semaphore and drops its idle uplink rate from WireReservedRate.
 func (o *Orchestrator) releaseAdmission(m *Member) {
 	o.ram.release(m.footprint)
-	if m.wireRate > 0 {
-		o.wire.release(m.wireRate)
-	}
+	o.wireReserved -= m.wireRate
 }
 
 // FailNym injects a nymbox failure: the AnonVM dies out from under the
@@ -735,8 +666,8 @@ func (o *Orchestrator) AwaitRunning(p *sim.Proc, target int) error {
 				o.Running(), target, o.CountState(StateFailed))
 		}
 		if o.queueStalled() {
-			return nymerr.Newf(CodeAdmissionStalled, "fleet: %d/%d running and %d launches stalled in the admission queue (the FIFO head needs more RAM or wire than remains free)",
-				o.Running(), target, o.ram.queued()+o.wire.queued())
+			return nymerr.Newf(CodeAdmissionStalled, "fleet: %d/%d running and %d launches stalled in the admission queue (the FIFO head needs more RAM than remains free)",
+				o.Running(), target, o.ram.queued())
 		}
 		o.parkOnChange(p)
 	}
@@ -767,12 +698,10 @@ func (o *Orchestrator) queueStalled() bool {
 		}
 	}
 	// Queued members whose supervisor procs have not yet enqueued a
-	// reservation are still in flight, not stalled. A member parks in
-	// the RAM queue first and the wire queue second; when every queued
-	// member sits in one of them, no admission can proceed on its own.
-	// (Each member holds at most one slot per queue, so either count
-	// matching the queued total means everyone is wedged.)
-	return queued > 0 && (queued == o.ram.queued() || queued == o.wire.queued())
+	// reservation are still in flight, not stalled. Each member holds
+	// at most one slot in the RAM queue, so the count matching the
+	// queued total means everyone is wedged.
+	return queued > 0 && queued == o.ram.queued()
 }
 
 // maxSimultaneous bounds how many launched members the RAM budget can

@@ -302,11 +302,10 @@ func nearestRank(sorted []time.Duration, q float64) time.Duration {
 // StartSweeps installs the checkpoint sweep scheduler: the first pass
 // fires one Interval from now and the scheduler re-arms after every
 // pass until StopSweeps. While the orchestrator is under admission
-// pressure (launches queued for RAM or wire), ticks are skipped and
-// the delay doubles up to four
-// Intervals; once saturated, ticks sweep even under pressure (the
-// backoff ceiling is the checkpoint-staleness ceiling), and the first
-// calm tick resets the cadence.
+// pressure (launches queued for RAM), ticks are skipped and the delay
+// doubles up to four Intervals; once saturated, ticks sweep even under
+// pressure (the backoff ceiling is the checkpoint-staleness ceiling),
+// and the first calm tick resets the cadence.
 func (o *Orchestrator) StartSweeps(cfg SweepConfig) error {
 	if o.sweepCfg != nil {
 		return ErrSweepsRunning
@@ -331,9 +330,6 @@ func (o *Orchestrator) StopSweeps() {
 	o.sweepCfg = nil
 }
 
-// SweepsRunning reports whether the scheduler is installed.
-func (o *Orchestrator) SweepsRunning() bool { return o.sweepCfg != nil }
-
 // AwaitSweepsIdle parks the caller until no sweep pass is in flight.
 // Call it after StopSweeps for a clean teardown boundary.
 func (o *Orchestrator) AwaitSweepsIdle(p *sim.Proc) {
@@ -343,11 +339,10 @@ func (o *Orchestrator) AwaitSweepsIdle(p *sim.Proc) {
 }
 
 // underSavePressure reports the condition under which the scheduler
-// stands aside: launches queued for RAM or wire admission (a ramp or
-// migration wants the wire and the chip first; cover-traffic budgets
-// count too).
+// stands aside: launches queued for RAM admission (a ramp or
+// migration wants the wire and the chip first).
 func (o *Orchestrator) underSavePressure() bool {
-	return o.ram.queued() > 0 || o.wire.queued() > 0
+	return o.ram.queued() > 0
 }
 
 // sweepTick is one scheduler firing.

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"testing"
 
 	"nymix/internal/anonnet"
@@ -10,8 +9,7 @@ import (
 )
 
 // mixOpts is a small nymbox whose transport holds a standing uplink
-// rate — the mixnet cover clock — so wire admission has something to
-// reserve against.
+// rate — the mixnet cover clock.
 func mixOpts(name string) core.Options {
 	opts := smallOpts(core.ModelPersistent)
 	opts.GuardSeed = name
@@ -19,7 +17,11 @@ func mixOpts(name string) core.Options {
 	return opts
 }
 
-func TestWireBudgetAdmitsSequentially(t *testing.T) {
+// TestWireReservedRateTracksAdmission: the standing cover rate counts
+// every launched mixnet member (queued ones too), drops when one stops
+// or crashes, comes back with a restart, and ends at zero; demand-driven
+// members add nothing.
+func TestWireReservedRateTracksAdmission(t *testing.T) {
 	rate := WireRateFor(mixOpts("x"))
 	if rate <= 0 {
 		t.Fatalf("mixnet wire rate = %d, want > 0", rate)
@@ -28,9 +30,7 @@ func TestWireBudgetAdmitsSequentially(t *testing.T) {
 		t.Fatalf("default transport wire rate = %d, want 0", r)
 	}
 
-	// Budget for exactly two standing cover streams: the third member
-	// must queue until one of the first two stops.
-	eng, o := newFleet(t, 51, 16<<30, Config{WireBudget: float64(2 * rate)})
+	eng, o := newFleet(t, 51, 16<<30, Config{Restart: DefaultRestartPolicy()})
 	run(t, eng, func(p *sim.Proc) {
 		for _, name := range []string{"amy", "ben", "cas"} {
 			if _, err := o.Launch(Spec{Name: name, Opts: mixOpts(name)}); err != nil {
@@ -38,37 +38,45 @@ func TestWireBudgetAdmitsSequentially(t *testing.T) {
 				return
 			}
 		}
-		if err := o.AwaitRunning(p, 2); err != nil {
-			t.Errorf("await 2: %v", err)
+		if _, err := o.Launch(Spec{Name: "tor", Opts: smallOpts(core.ModelEphemeral)}); err != nil {
+			t.Errorf("launch tor: %v", err)
 			return
 		}
-		if got := o.WireReservedRate(); got != 2*rate {
-			t.Errorf("reserved wire rate = %d, want %d", got, 2*rate)
+		if got := o.WireReservedRate(); got != 3*rate {
+			t.Errorf("reserved rate at launch = %d, want %d", got, 3*rate)
 		}
-		if got := o.QueuedWireLaunches(); got != 1 {
-			t.Errorf("queued wire launches = %d, want 1", got)
+		if err := o.AwaitRunning(p, 4); err != nil {
+			t.Errorf("await 4: %v", err)
+			return
 		}
-		if o.CanAdmitWire(rate) {
-			t.Error("budget claims room for a third cover stream")
-		}
-		if o.Member("cas").State() == StateRunning {
-			t.Error("third member admitted past the wire budget")
+		if got := o.WireReservedRate(); got != 3*rate {
+			t.Errorf("reserved rate running = %d, want %d", got, 3*rate)
 		}
 
-		// Stopping one member frees its rate and the queued member runs.
 		if err := o.Stop(p, "amy"); err != nil {
 			t.Errorf("stop amy: %v", err)
 			return
 		}
-		if err := o.AwaitRunning(p, 2); err != nil {
-			t.Errorf("await after stop: %v", err)
+		if got := o.WireReservedRate(); got != 2*rate {
+			t.Errorf("reserved rate after stop = %d, want %d", got, 2*rate)
+		}
+
+		if err := o.FailNym(p, "ben", nil); err != nil {
+			t.Errorf("fail ben: %v", err)
 			return
 		}
-		if o.Member("cas").State() != StateRunning {
-			t.Error("queued member never admitted after wire freed")
+		if got := o.WireReservedRate(); got != rate {
+			t.Errorf("reserved rate while ben restarts = %d, want %d", got, rate)
+		}
+		for o.Member("ben").State() != StateRunning {
+			if o.Member("ben").State() == StateFailed {
+				t.Errorf("ben failed instead of restarting: %v", o.Member("ben").LastErr())
+				return
+			}
+			sim.Await(p, o.ChangeFuture())
 		}
 		if got := o.WireReservedRate(); got != 2*rate {
-			t.Errorf("reserved rate after churn = %d, want %d", got, 2*rate)
+			t.Errorf("reserved rate after restart = %d, want %d", got, 2*rate)
 		}
 		if err := o.StopAll(p); err != nil {
 			t.Errorf("stop all: %v", err)
@@ -79,42 +87,7 @@ func TestWireBudgetAdmitsSequentially(t *testing.T) {
 	}
 }
 
-func TestWireBudgetNeverAdmissible(t *testing.T) {
-	rate := WireRateFor(mixOpts("x"))
-	eng, o := newFleet(t, 53, 16<<30, Config{WireBudget: float64(rate) / 2})
-	run(t, eng, func(p *sim.Proc) {
-		_, err := o.Launch(Spec{Name: "amy", Opts: mixOpts("amy")})
-		if !errors.Is(err, ErrNeverAdmissible) {
-			t.Errorf("launch past an impossible wire budget: %v, want ErrNeverAdmissible", err)
-		}
-	})
-}
-
-// TestWireBudgetIgnoresDemandDrivenTransports: members without a
-// standing rate never touch the wire semaphore, so a tight wire budget
-// does not gate a plain tor fleet.
-func TestWireBudgetIgnoresDemandDriven(t *testing.T) {
-	eng, o := newFleet(t, 55, 16<<30, Config{WireBudget: 1})
-	run(t, eng, func(p *sim.Proc) {
-		for _, s := range specs(3, core.ModelEphemeral) {
-			if _, err := o.Launch(s); err != nil {
-				t.Errorf("launch %s: %v", s.Name, err)
-				return
-			}
-		}
-		if err := o.AwaitRunning(p, 3); err != nil {
-			t.Errorf("await: %v", err)
-		}
-		if got := o.WireReservedRate(); got != 0 {
-			t.Errorf("demand-driven fleet reserved %d B/s of wire", got)
-		}
-		if err := o.StopAll(p); err != nil {
-			t.Errorf("stop: %v", err)
-		}
-	})
-}
-
-// TestWireRateForMatchesRegistry pins the admission arithmetic to the
+// TestWireRateForMatchesRegistry pins the rate arithmetic to the
 // transport registry's self-declared idle rates.
 func TestWireRateForMatchesRegistry(t *testing.T) {
 	opts := mixOpts("x")

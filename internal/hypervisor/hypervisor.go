@@ -128,10 +128,6 @@ func (h *Host) Node() *vnet.Node { return h.node }
 // BaseImage returns the sealed shared base image.
 func (h *Host) BaseImage() *unionfs.Layer { return h.baseImage }
 
-// BaseImageRoot returns the well-known Merkle root of the host OS
-// partition, stamped when the Nymix image was built.
-func (h *Host) BaseImageRoot() merkle.Hash { return h.baseRoot }
-
 // VerifyBaseImage checks the host partition against the well-known
 // Merkle root (the section 3.4 integrity mechanism). Nymix refuses to
 // launch VMs from a modified partition, since "those modifications,

@@ -128,9 +128,6 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// RunFor advances the simulation by d from the current time.
-func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
-
 // Stop halts Run/RunUntil after the current event completes. Pending
 // events remain queued.
 func (e *Engine) Stop() { e.stopped = true }

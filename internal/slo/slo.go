@@ -93,13 +93,11 @@ type Report struct {
 	CheckpointBaselineBytes int64
 	MigrationWireBytes      int64
 
-	// Cover-traffic wire budgets. WireReservedRate is the standing
-	// idle uplink (bytes/sec) the admitted fleet holds against
-	// WireBudgetRate (-1 = uncapped); CoverWireBytes is what the
+	// Cover-traffic wire. WireReservedRate is the standing idle uplink
+	// (bytes/sec) of the launched fleet; CoverWireBytes is what the
 	// running members' constant-rate transports have actually sent —
 	// uplink the pool pays even when every browser is idle.
 	WireReservedRate int64
-	WireBudgetRate   int64
 	CoverWireBytes   int64
 }
 
@@ -123,7 +121,6 @@ func FromFleet(o *fleet.Orchestrator) Report {
 	b.stale = append(b.stale, o.CheckpointStaleness()...)
 	b.r.Preempted = o.Preemptions()
 	b.r.WireReservedRate = o.WireReservedRate()
-	b.r.WireBudgetRate = o.WireBudgetRate()
 	return b.finish()
 }
 
@@ -138,14 +135,6 @@ func FromCluster(c *cluster.Cluster) Report {
 	b.r.Preempted = st.Preempted
 	b.r.MigrationWireBytes = st.MigrationWireBytes
 	b.r.WireReservedRate = st.WireReservedRate
-	for _, h := range c.Hosts() {
-		budget := h.Fleet().WireBudgetRate()
-		if budget < 0 {
-			b.r.WireBudgetRate = -1
-			break
-		}
-		b.r.WireBudgetRate += budget
-	}
 	hosts := append(c.Hosts(), c.RetiredHosts()...)
 	if len(hosts) > 0 {
 		b.r.At = hosts[0].Manager().Engine().Now()
@@ -326,12 +315,8 @@ func (r Report) Render() string {
 	fmt.Fprintf(&b, "  ckpt wire:   %s shipped vs %s baseline (%.0f%% saved)   migration wire: %s\n",
 		fmtBytes(r.CheckpointWireBytes), fmtBytes(r.CheckpointBaselineBytes),
 		100*r.WireSavings(), fmtBytes(r.MigrationWireBytes))
-	budget := "uncapped"
-	if r.WireBudgetRate >= 0 {
-		budget = fmtBytes(r.WireBudgetRate) + "/s"
-	}
-	fmt.Fprintf(&b, "  cover wire:  %s/s reserved of %s   %s sent while idle or busy\n",
-		fmtBytes(r.WireReservedRate), budget, fmtBytes(r.CoverWireBytes))
+	fmt.Fprintf(&b, "  cover wire:  %s/s reserved of uncapped   %s sent while idle or busy\n",
+		fmtBytes(r.WireReservedRate), fmtBytes(r.CoverWireBytes))
 	fmt.Fprintf(&b, "  failures:    %d recorded, %d unclassified\n", r.TotalFailures, r.Unclassified)
 	for _, fc := range r.FailuresByCode {
 		fmt.Fprintf(&b, "    %-36s %d\n", string(fc.Code), fc.Count)

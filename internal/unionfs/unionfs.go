@@ -122,9 +122,6 @@ func (l *Layer) UsedBytes() int64 {
 	return n
 }
 
-// FileCount returns the number of files stored in this layer.
-func (l *Layer) FileCount() int { return len(l.files) }
-
 func (l *Layer) delta(d int64) {
 	if l.onDelta != nil && d != 0 {
 		l.onDelta(d)

@@ -238,9 +238,6 @@ func (ix *Index) Forget(provider string, a Addr) {
 // does still hold are not re-shipped.
 func (ix *Index) Drop(provider string) { delete(ix.present, provider) }
 
-// Known returns how many chunks the index believes the provider holds.
-func (ix *Index) Known(provider string) int { return len(ix.present[provider]) }
-
 // KnownBytes returns the total wire size of the chunks the index
 // believes the provider holds — what a restore served entirely by that
 // provider would download, before the manifest and batch framing.
@@ -479,8 +476,8 @@ func (v *Store) Save(p *sim.Proc, st *nymstate.State, password string, sessions 
 	sealed := make(map[Addr][]byte)
 	for si, sess := range sessions {
 		batch := make(map[string]cloud.Blob)
-		var pendingChunks int
-		var pendingWire int64
+		var batchChunks int
+		var batchWire int64
 		for _, r := range c.refs {
 			if v.placement == Stripe && len(sessions) > 1 && assign(r.Addr, len(sessions)) != si {
 				continue
@@ -505,16 +502,16 @@ func (v *Store) Save(p *sim.Proc, st *nymstate.State, password string, sessions 
 				blob.Data = ct
 			}
 			batch[name] = blob
-			pendingChunks++
-			pendingWire += r.WireSize + cloud.BatchFrameBytes
+			batchChunks++
+			batchWire += r.WireSize + cloud.BatchFrameBytes
 		}
 		if err := sess.PutBatch(p, batch); err != nil {
 			// The batch is all-or-nothing: nothing pending was sent.
 			return stats, fmt.Errorf("vault: save chunks: %w", err)
 		}
-		stats.NewChunks += pendingChunks
-		stats.ChunkUploadBytes += pendingWire
-		stats.UploadedBytes += pendingWire
+		stats.NewChunks += batchChunks
+		stats.ChunkUploadBytes += batchWire
+		stats.UploadedBytes += batchWire
 		provider := sess.Provider().Name()
 		for _, r := range c.refs {
 			if _, ok := batch[v.chunkBlobName(r.Addr)]; ok {

@@ -96,7 +96,6 @@ type VM struct {
 	diskPages    int64 // pages charged for disk content
 	diskPageMax  int64
 	pendingDisk  int64 // sub-page disk bytes awaiting a full page
-	bootedAt     sim.Time
 	dirty        DirtyStats
 }
 
@@ -179,9 +178,6 @@ func (v *VM) AttachNode(n *vnet.Node) { v.node = n }
 // SaniVM).
 func (v *VM) Node() *vnet.Node { return v.node }
 
-// BootedAt returns when the VM finished booting.
-func (v *VM) BootedAt() sim.Time { return v.bootedAt }
-
 // DirtyStats returns the VM's cumulative mutation counters.
 func (v *VM) DirtyStats() DirtyStats { return v.dirty }
 
@@ -227,7 +223,6 @@ func (v *VM) Boot(p *sim.Proc) error {
 	v.state = StateRunning
 	d := sim.Time(p.Rand().Jitter(float64(v.boot.Base), v.boot.Jitter))
 	p.Sleep(d)
-	v.bootedAt = p.Now()
 	return nil
 }
 

@@ -270,15 +270,8 @@ func (w *World) EnsureRegion(name string) *vnet.Node {
 	return gw
 }
 
-// RegionGateway returns the named region's gateway router, or nil if
-// the region was never created.
-func (w *World) RegionGateway(name string) *vnet.Node { return w.regions[name] }
-
 // Internet returns the backbone router.
 func (w *World) Internet() *vnet.Node { return w.internet }
-
-// Deterlab returns the testbed enclave router.
-func (w *World) Deterlab() *vnet.Node { return w.deterlab }
 
 // ISPDNS returns the ISP's resolver node (used by the incognito
 // mode's leaky direct DNS path).
@@ -299,9 +292,6 @@ func (w *World) Net() *vnet.Network { return w.net }
 
 // Site returns the site for a DNS host name, or nil.
 func (w *World) Site(host string) *Site { return w.sites[host] }
-
-// FileHost returns the kernel.org-like bulk file server.
-func (w *World) FileHost() *Site { return w.fileHost }
 
 // Relays returns the Tor test deployment.
 func (w *World) Relays() []Relay { return w.relays }
