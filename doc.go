@@ -12,8 +12,8 @@
 // and stored anonymously in the cloud — either as a monolithic archive
 // (internal/nymstate) or through NymVault (internal/vault), a
 // content-addressed, deduplicating chunk store whose delta saves ship
-// only what changed since the last session and can replicate or stripe
-// across multiple providers.
+// only what changed since the last session and replicate across
+// multiple providers.
 //
 // Everything the paper's prototype relied on — QEMU/KVM, OverlayFS,
 // KSM, a Tor test deployment on DeterLab, Chromium workloads, cloud

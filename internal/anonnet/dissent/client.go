@@ -15,9 +15,14 @@ func init() {
 	anonnet.RegisterTransport("dissent", anonnet.TransportInfo{},
 		func(env anonnet.Env) (anonnet.Transport, error) {
 			return New(env.Net, env.CommNode, env.World.DissentServers(),
-				env.Opts.DissentMembers, env.World.Resolver()), nil
+				groupSize, env.World.Resolver()), nil
 		})
 }
+
+// groupSize is the anonymity set size every registered Dissent
+// transport is configured for; the paper's Dissent evaluations use
+// group sizes in the tens.
+const groupSize = 16
 
 // Protocol constants. Dissent trades throughput for traffic-analysis
 // resistance: every byte costs a DC-net round, so bulk transfer is

@@ -13,22 +13,15 @@ import (
 // fabric, the simulated Internet, and the nodes the transport speaks
 // from. CommNode is the CommVM's attachment point (every client-side
 // flow originates there); HostNode is the physical host's node, the
-// NAT exit the incognito mode re-originates from.
+// NAT exit the incognito mode re-originates from. GuardSeed, when
+// set, derives the Tor entry guard deterministically (section 3.5's
+// fix for the ephemeral-loader intersection hole).
 type Env struct {
-	Net      *vnet.Network
-	World    *webworld.World
-	CommNode string
-	HostNode string
-	Opts     TransportOpts
-}
-
-// TransportOpts carries the per-nym knobs a factory may honour.
-type TransportOpts struct {
-	// GuardSeed derives the Tor entry guard deterministically
-	// (section 3.5's fix for the ephemeral-loader intersection hole).
+	Net       *vnet.Network
+	World     *webworld.World
+	CommNode  string
+	HostNode  string
 	GuardSeed string
-	// DissentMembers is the anonymity set size for Dissent nyms.
-	DissentMembers int
 }
 
 // Factory builds one transport instance for a nym.

@@ -32,8 +32,8 @@ import (
 func init() {
 	newClient := func(env anonnet.Env) *Client {
 		c := New(env.Net, env.CommNode, env.World.Relays(), env.World.Resolver())
-		if env.Opts.GuardSeed != "" {
-			c.SetGuardSeed(env.Opts.GuardSeed)
+		if env.GuardSeed != "" {
+			c.SetGuardSeed(env.GuardSeed)
 		}
 		return c
 	}

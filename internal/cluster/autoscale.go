@@ -208,20 +208,6 @@ func (c *Cluster) Cordon(name string) error {
 	return nil
 }
 
-// Uncordon returns a cordoned host to service.
-func (c *Cluster) Uncordon(name string) error {
-	h := c.Host(name)
-	if h == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownHost, name)
-	}
-	if h.state != HostCordoned {
-		return nymerr.Newf(CodeHostIneligible, "cluster: host %q is %v, not cordoned", name, h.state)
-	}
-	h.state = HostActive
-	c.onChange() // the queue may dispatch onto it again
-	return nil
-}
-
 // RetireHost cordons, drains, and removes one host by name: every
 // live nym is migrated off through the vault (MigrateNym's checkpoint
 // fallback covers a nym that crashes mid-drain), then the empty host

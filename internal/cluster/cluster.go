@@ -311,8 +311,7 @@ func (c *Cluster) addHost() (*Host, error) {
 		fcfg.Preempt.VaultPassword = c.cfg.VaultPassword
 	}
 	if fcfg.Preempt.DestFor == nil {
-		destFor := c.cfg.DestFor
-		fcfg.Preempt.DestFor = func(m *fleet.Member) core.VaultDest { return destFor(m.Name()) }
+		fcfg.Preempt.DestFor = c.memberDest
 	}
 	h := &Host{name: hostCfg.Name, mgr: mgr, orch: fleet.New(mgr, fcfg)}
 	c.hostSeq++
@@ -320,6 +319,9 @@ func (c *Cluster) addHost() (*Host, error) {
 	c.watchHost(h)
 	return h, nil
 }
+
+// memberDest is Config.DestFor in the form fleet's save paths take.
+func (c *Cluster) memberDest(m *fleet.Member) core.VaultDest { return c.cfg.DestFor(m.Name()) }
 
 // watchHost runs a daemon that reacts to every state change on one
 // host: dispatch queued launches, arm the rebalancer, wake cluster

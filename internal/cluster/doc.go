@@ -40,7 +40,7 @@
 //     live nym off it via MigrateNym, and retires it (down to
 //     MinHosts). Hosts walk
 //     Active -> Cordoned -> Draining -> Retired; operators can drive
-//     the same path by hand with Cordon/Uncordon/RetireHost.
+//     the same path by hand with Cordon/RetireHost.
 //   - Preemption. A high-priority launch stuck at the head of the
 //     cluster-wide queue past Config.PreemptDwell sacrifices strictly-lower
 //     classes on the cheapest host (fleet.PreemptOne: ephemeral nyms
@@ -51,12 +51,15 @@
 //     stagger slot (Interval/N apart) and a token gate bounds how
 //     many hosts may be on the shared providers at once, so N
 //     per-host schedulers never herd the providers simultaneously.
-//     Every host pass runs the config's fleet.Cadence unchanged;
-//     under the adaptive cadence, idle slots also carry batched
-//     rebalance moves and prune dead vault chunks. Hosts out of Active duty are paused — the drain path
+//     Every host pass runs the config's fleet.Cadence unchanged and
+//     saves through the cluster's own VaultPassword and DestFor, the
+//     channel migration uses; under the adaptive cadence, idle slots
+//     also carry batched rebalance moves and prune dead vault chunks.
+//     Hosts out of Active duty are paused — the drain path
 //     checkpoints their nyms itself — and a per-slot log plus
-//     ClusterSweepReport (the summed fleet.SweepTally, latency and
-//     staleness Spreads) surface the sweep economy pool-wide.
+//     ClusterSweepReport (the summed fleet.SweepTally, the staleness
+//     Spread and the idle-slot economy) surface the sweep economy
+//     pool-wide.
 //
 // The daemons' dwells, watermarks and budgets are package constants
 // set to the values every caller runs; Config carries only the four

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"nymix/internal/cloud"
-	"nymix/internal/core"
 	"nymix/internal/fleet"
 	"nymix/internal/nymerr"
 	"nymix/internal/sim"
@@ -30,7 +29,9 @@ import (
 var ErrSweepsRunning = nymerr.New(CodeSweepsRunning, "cluster: sweep coordinator already running")
 
 // SweepConfig parameterizes the cluster sweep coordinator. Zero
-// values take defaults.
+// values take defaults. Checkpoints seal under the cluster's
+// Config.VaultPassword and go to its Config.DestFor, the channel
+// migration uses.
 type SweepConfig struct {
 	// Interval is one full stagger round: every pool host gets one
 	// slot per round, Interval/hosts apart (default 30s).
@@ -48,25 +49,14 @@ type SweepConfig struct {
 	// provider token is held and the host had nothing dirty, so the
 	// reclaim wire rides a window the cadence already paid for.
 	Cadence fleet.Cadence
-	// Password seals checkpoints (default: the cluster's
-	// VaultPassword). DestFor maps nym names to vault destinations
-	// (default: the cluster's DestFor).
-	Password string
-	DestFor  func(name string) core.VaultDest
 }
 
-func (sc *SweepConfig) fillDefaults(c *Config) {
+func (sc *SweepConfig) fillDefaults() {
 	if sc.Interval <= 0 {
 		sc.Interval = 30 * time.Second
 	}
 	if sc.Tokens <= 0 {
 		sc.Tokens = 1
-	}
-	if sc.Password == "" {
-		sc.Password = c.VaultPassword
-	}
-	if sc.DestFor == nil {
-		sc.DestFor = c.DestFor
 	}
 }
 
@@ -104,16 +94,12 @@ type ClusterSweepReport struct {
 	// gate — sustained skipping means the interval is shorter than
 	// the pool's serialized sweep time.
 	RoundsSkipped int
-	HostSweeps    int // completed per-host passes
-	Paused        int // slots skipped on non-Active hosts
 	// SweepTally sums the host passes the coordinator ran.
 	fleet.SweepTally
 	// CoordinatorErrors counts the failures the coordinator itself
 	// logged outside host passes: batched rebalance moves and idle-slot
 	// GC. Failed saves are in Errors.
 	CoordinatorErrors int
-	// Latency summarizes per-host pass latencies.
-	Latency fleet.Spread
 	// Staleness summarizes per-save checkpoint staleness, pooled across
 	// every host's samples so each save weighs equally (not an average
 	// of per-host quantiles).
@@ -128,7 +114,6 @@ type ClusterSweepReport struct {
 	GCRuns           int
 	GCReclaimedBytes int64
 	GCWireBytes      int64
-	Slots            []SweepSlot
 }
 
 // StartSweeps installs the coordinator: the first round begins one
@@ -139,7 +124,7 @@ func (c *Cluster) StartSweeps(cfg SweepConfig) error {
 	if c.sweepCfg != nil {
 		return ErrSweepsRunning
 	}
-	cfg.fillDefaults(&c.cfg)
+	cfg.fillDefaults()
 	c.sweepCfg = &cfg
 	c.sweepTimer = c.eng.Schedule(cfg.Interval, c.sweepRoundTick)
 	return nil
@@ -179,19 +164,15 @@ func (c *Cluster) SweepReport() ClusterSweepReport {
 	rep := ClusterSweepReport{
 		Rounds:        c.sweepRounds,
 		RoundsSkipped: c.sweepRoundsSkipped,
-		Slots:         c.SweepSlots(),
 	}
 	rep.MovesPlanned = c.movesPlanned
 	// Each slot whose pass failed logged exactly one wrapped error; the
 	// rest of the log is the coordinator's own.
 	rep.CoordinatorErrors = len(c.sweepErrs)
-	var lats []time.Duration
 	for _, s := range c.slotLog {
 		if s.Paused {
-			rep.Paused++
 			continue
 		}
-		rep.HostSweeps++
 		rep.Add(s.Record.SweepTally)
 		if s.Record.Errors > 0 {
 			rep.CoordinatorErrors--
@@ -204,9 +185,7 @@ func (c *Cluster) SweepReport() ClusterSweepReport {
 		rep.GCRuns += s.GCRuns
 		rep.GCReclaimedBytes += s.GCReclaimedBytes
 		rep.GCWireBytes += s.GCWireBytes
-		lats = append(lats, s.Record.Elapsed)
 	}
-	rep.Latency = fleet.SpreadOf(lats)
 	var stale []time.Duration
 	for _, h := range c.hosts {
 		stale = append(stale, h.orch.CheckpointStaleness()...)
@@ -283,10 +262,9 @@ func (c *Cluster) sweepSlot(p *sim.Proc, cfg *SweepConfig, round, slot int, h *H
 	}
 	c.sweepTokensHeld++
 	start := p.Now()
-	destFor := cfg.DestFor
 	rec, err := h.orch.SweepOnce(p, fleet.SweepConfig{
-		Password: cfg.Password,
-		DestFor:  func(m *fleet.Member) core.VaultDest { return destFor(m.Name()) },
+		Password: c.cfg.VaultPassword,
+		DestFor:  c.memberDest,
 		Cadence:  cfg.Cadence,
 		// The cadence's deferral horizon: this host's next slot is one
 		// round out, two if the coordinator skips a round — plus one
@@ -313,7 +291,7 @@ func (c *Cluster) sweepSlot(p *sim.Proc, cfg *SweepConfig, round, slot int, h *H
 		rec2.Idle = true
 		rec2.Moves, rec2.MovesDropped = c.drainPendingMoves(p)
 		if adaptive(cfg) {
-			rec2.GCRuns, rec2.GCReclaimedBytes, rec2.GCWireBytes = c.opportunisticGC(p, cfg, h)
+			rec2.GCRuns, rec2.GCReclaimedBytes, rec2.GCWireBytes = c.opportunisticGC(p, h)
 		}
 	}
 	c.sweepTokensHeld--
@@ -372,7 +350,7 @@ const gcPerSlot = 2
 // (nothing in the vault to prune — probing would buy an ErrNoManifest
 // with real wire), as are members mid-save or mid-migration (GC must
 // never race a manifest replace).
-func (c *Cluster) opportunisticGC(p *sim.Proc, cfg *SweepConfig, h *Host) (runs int, reclaimed, wire int64) {
+func (c *Cluster) opportunisticGC(p *sim.Proc, h *Host) (runs int, reclaimed, wire int64) {
 	members := h.orch.Members()
 	if len(members) == 0 {
 		return 0, 0, 0
@@ -387,8 +365,8 @@ func (c *Cluster) opportunisticGC(p *sim.Proc, cfg *SweepConfig, h *Host) (runs 
 		if _, ok := m.Checkpoint(); !ok {
 			continue
 		}
-		dest := cfg.DestFor(m.Name())
-		stats, err := h.mgr.VaultGC(p, m.Nym(), cfg.Password, dest)
+		dest := c.cfg.DestFor(m.Name())
+		stats, err := h.mgr.VaultGC(p, m.Nym(), c.cfg.VaultPassword, dest)
 		wire += stats.ManifestBytes + int64(len(dest.Providers))*cloud.LoginWireBytes
 		if err != nil {
 			c.sweepErrs = append(c.sweepErrs, fmt.Errorf("cluster: gc %s in idle slot: %w", m.Name(), err))

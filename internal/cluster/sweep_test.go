@@ -122,10 +122,6 @@ func TestClusterSweepPausesCordonedHost(t *testing.T) {
 		if paused == 0 || swept == 0 {
 			t.Errorf("paused=%d swept=%d, want both > 0", paused, swept)
 		}
-		rep := c.SweepReport()
-		if rep.Paused != paused {
-			t.Errorf("report paused = %d, want %d", rep.Paused, paused)
-		}
 		if err := c.StopAll(p); err != nil {
 			t.Errorf("stop: %v", err)
 		}
@@ -137,7 +133,13 @@ func TestClusterSweepPausesCordonedHost(t *testing.T) {
 // provider read as a healthy round with a low save count. The
 // coordinator now keeps every slot failure, typed.
 func TestClusterSweepSlotRecordsSaveFailures(t *testing.T) {
-	eng, c := newCluster(t, 29, 2, 4<<30, Config{})
+	// Point every save at a provider that doesn't exist: each host's
+	// pass fails wholesale.
+	eng, c := newCluster(t, 29, 2, 4<<30, Config{
+		DestFor: func(name string) core.VaultDest {
+			return core.VaultDest{Providers: []string{"nowhere"}, Account: name, AccountPassword: "p"}
+		},
+	})
 	run(t, eng, func(p *sim.Proc) {
 		if err := c.LaunchAll(specs(4, core.ModelPersistent)); err != nil {
 			t.Errorf("launch: %v", err)
@@ -147,13 +149,8 @@ func TestClusterSweepSlotRecordsSaveFailures(t *testing.T) {
 			t.Errorf("await: %v", err)
 			return
 		}
-		// Point every save at a provider that doesn't exist: each
-		// host's pass fails wholesale.
 		if err := c.StartSweeps(SweepConfig{
 			Interval: 10 * time.Second, Cadence: fleet.Cadence{Mode: fleet.CadenceAll},
-			DestFor: func(name string) core.VaultDest {
-				return core.VaultDest{Providers: []string{"nowhere"}, Account: name, AccountPassword: "p"}
-			},
 		}); err != nil {
 			t.Errorf("start sweeps: %v", err)
 			return

@@ -62,13 +62,10 @@ type Options struct {
 	AnonDisk int64
 	CommRAM  int64
 	CommDisk int64
-	CacheCap int64 // browser cache cap; 0 = Chromium's 83 MB default
 	// GuardSeed, when set, derives the Tor entry guard
 	// deterministically (section 3.5's fix for the ephemeral-loader
 	// intersection hole).
 	GuardSeed string
-	// DissentMembers is the anonymity set size for Dissent nyms.
-	DissentMembers int
 }
 
 // Evaluation-default VM sizes (section 5.2): "we allocated 16 MB disk
@@ -99,9 +96,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.CommDisk == 0 {
 		o.CommDisk = DefaultCommDisk
-	}
-	if o.DissentMembers == 0 {
-		o.DissentMembers = 16
 	}
 }
 
@@ -471,7 +465,6 @@ func (m *Manager) startNym(p *sim.Proc, name string, opts Options, restore *rest
 		n.phases.EphemeralNym = restore.ephemeralPhase
 	}
 	n.browser = browser.New(m.world, m.net, anonVM, commName, anon, browser.Config{
-		CacheCap:  opts.CacheCap,
 		RenderCPU: m.host.SubmitVMTask,
 	})
 	m.nyms[name] = n
@@ -508,14 +501,11 @@ func (m *Manager) bootVM(p *sim.Proc, v *vm.VM) error {
 // the anonnet transport registry.
 func (m *Manager) buildAnonymizer(opts Options, commName string) (anonnet.Transport, error) {
 	env := anonnet.Env{
-		Net:      m.net,
-		World:    m.world,
-		CommNode: commName,
-		HostNode: m.host.Node().Name(),
-		Opts: anonnet.TransportOpts{
-			GuardSeed:      opts.GuardSeed,
-			DissentMembers: opts.DissentMembers,
-		},
+		Net:       m.net,
+		World:     m.world,
+		CommNode:  commName,
+		HostNode:  m.host.Node().Name(),
+		GuardSeed: opts.GuardSeed,
 	}
 	build := func(kind string) (anonnet.Transport, error) {
 		t, err := anonnet.NewTransport(kind, env)

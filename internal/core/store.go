@@ -257,15 +257,11 @@ func (m *Manager) EndSession(p *sim.Proc, n *Nym, password string, dest StoreDes
 
 // VaultDest names a chunked, deduplicating cloud destination for
 // quasi-persistent state: one pseudonymous account per provider, with
-// the chunk set replicated or striped across them. Provider order is
-// part of the destination identity — striping assigns chunks
-// positionally, so stores and loads of the same nym must name
-// providers in the same order.
+// the chunk set replicated to every one of them.
 type VaultDest struct {
 	Providers       []string
 	Account         string
 	AccountPassword string
-	Placement       vault.Placement
 }
 
 // vaultSessions opens one authenticated session per provider through
@@ -295,13 +291,13 @@ func (m *Manager) vaultSessions(p *sim.Proc, anon anonnet.Anonymizer, dest Vault
 
 // vaultStore returns the nym's vault bound to its cached chunk index,
 // creating the index on first use.
-func (m *Manager) vaultStore(name string, placement vault.Placement) *vault.Store {
+func (m *Manager) vaultStore(name string) *vault.Store {
 	idx, ok := m.vaultIndexes[name]
 	if !ok {
 		idx = vault.NewIndex()
 		m.vaultIndexes[name] = idx
 	}
-	return vault.NewStore(name, placement, idx)
+	return vault.NewStore(name, idx)
 }
 
 // StoreNymVault checkpoints a nym through the content-addressed vault:
@@ -333,7 +329,7 @@ func (m *Manager) StoreNymVault(p *sim.Proc, n *Nym, password string, dest Vault
 	if err != nil {
 		return vault.SaveStats{}, err
 	}
-	vs := m.vaultStore(n.name, dest.Placement)
+	vs := m.vaultStore(n.name)
 	stats, err := vs.Save(p, st, password, sessions, m.eng.Rand())
 	if err != nil {
 		return stats, err
@@ -372,7 +368,7 @@ func (m *Manager) LoadNymVault(p *sim.Proc, name, password string, opts Options,
 	if err != nil {
 		return nil, errors.Join(err, m.TerminateNym(p, loader))
 	}
-	vs := m.vaultStore(name, dest.Placement)
+	vs := m.vaultStore(name)
 	st, stats, err := vs.Load(p, password, sessions)
 	if err != nil {
 		return nil, errors.Join(err, m.TerminateNym(p, loader))
@@ -413,7 +409,7 @@ func (m *Manager) VaultGC(p *sim.Proc, n *Nym, password string, dest VaultDest) 
 	if err != nil {
 		return vault.GCStats{}, err
 	}
-	return m.vaultStore(n.name, dest.Placement).GC(p, password, sessions)
+	return m.vaultStore(n.name).GC(p, password, sessions)
 }
 
 // MigrationCost is the priced wire a live migration of one nym would
@@ -446,17 +442,10 @@ func (m *Manager) MigrationCost(n *Nym, dest VaultDest) MigrationCost {
 	if !ok {
 		return cost
 	}
-	// Under Replicate the restore is served by the first provider that
-	// answers; under Stripe every provider serves its partition — in
-	// both cases the union of per-provider known bytes bounds the
-	// download (replicas price the largest single holder).
+	// The restore is served by the first provider that answers; price
+	// the largest single holder.
 	for _, provider := range dest.Providers {
-		known := idx.KnownBytes(provider)
-		if dest.Placement == vault.Stripe && len(dest.Providers) > 1 {
-			cost.RestoreBytes += known
-		} else if known > cost.RestoreBytes {
-			cost.RestoreBytes = known
-		}
+		cost.RestoreBytes = max(cost.RestoreBytes, idx.KnownBytes(provider))
 	}
 	return cost
 }

@@ -187,46 +187,6 @@ func TestLoadNymVaultWrongPassword(t *testing.T) {
 	}
 }
 
-func TestVaultMultiProviderStripe(t *testing.T) {
-	eng, m := newManager(t)
-	dest := vaultDest("dropbin", "gdrive")
-	dest.Placement = vault.Stripe
-	var stats vault.SaveStats
-	run(t, eng, func(p *sim.Proc) {
-		nym, err := m.StartNym(p, "striped", Options{Model: ModelPersistent})
-		if err != nil {
-			t.Errorf("start: %v", err)
-			return
-		}
-		nym.Browser().Login(p, "facebook.com", "persona", "pw")
-		stats, err = m.StoreNymVault(p, nym, "pw", dest)
-		if err != nil {
-			t.Errorf("store: %v", err)
-			return
-		}
-		m.TerminateNym(p, nym)
-		restored, err := m.LoadNymVault(p, "striped", "pw", Options{Model: ModelPersistent}, dest)
-		if err != nil {
-			t.Errorf("load: %v", err)
-			return
-		}
-		if cred, ok := restored.Browser().Credentials("facebook.com"); !ok || cred.Account != "persona" {
-			t.Errorf("credentials lost across striped restore: %+v %v", cred, ok)
-		}
-	})
-	// Each provider holds a strict subset of the chunk wire bytes.
-	a, _ := m.Provider("dropbin")
-	b, _ := m.Provider("gdrive")
-	ua, ub := a.StoredBytes("vault-acct"), b.StoredBytes("vault-acct")
-	if ua == 0 || ub == 0 {
-		t.Fatalf("stripe left a provider empty: %d / %d", ua, ub)
-	}
-	full := stats.ChunkWireBytes + stats.ManifestBytes
-	if ua >= full || ub >= full {
-		t.Fatalf("stripe did not partition: %d / %d of %d", ua, ub, full)
-	}
-}
-
 func TestVaultGCReclaimsStaleChunksOnly(t *testing.T) {
 	eng, m := newManager(t)
 	dest := vaultDest()

@@ -782,8 +782,14 @@ func (o *Orchestrator) setState(m *Member, s MemberState) {
 // counted Busy: state they dirtied after that save's export was NOT
 // captured, so a pre-shutdown flush that needs full coverage should
 // re-sweep while Busy > 0. For the periodic, dirty-skipping variant see StartSweeps.
+// The pass counts as in flight like SweepOnce's: a scheduler tick that
+// lands mid-pass sits out, and AwaitSweepsIdle waits for it.
 func (o *Orchestrator) SaveSweep(p *sim.Proc, password string, destFor func(*Member) core.VaultDest) (SweepStats, error) {
-	return o.runSweep(p, SweepConfig{Password: password, DestFor: destFor, Cadence: Cadence{Mode: CadenceAll}})
+	o.sweeping++
+	rec, err := o.runSweep(p, SweepConfig{Password: password, DestFor: destFor, Cadence: Cadence{Mode: CadenceAll}})
+	o.sweeping--
+	o.notify()
+	return rec, err
 }
 
 // CheckpointNym vault-saves one Running member synchronously and

@@ -268,3 +268,54 @@ func TestCheckpointNymWaitsForInFlightSweepSave(t *testing.T) {
 		}
 	})
 }
+
+// Regression: SaveSweep did not count itself as an in-flight pass, so
+// a scheduler tick that landed mid-SaveSweep started a second pass
+// beside it, and AwaitSweepsIdle returned while SaveSweep was still
+// saving.
+func TestSaveSweepHoldsOffSchedulerAndAwaitIdle(t *testing.T) {
+	const interval = 10 * time.Second
+	eng, o := newFleet(t, 15, 16<<30, Config{})
+	run(t, eng, func(p *sim.Proc) {
+		if _, err := o.LaunchAll(specs(6, core.ModelPersistent)); err != nil {
+			t.Errorf("launch: %v", err)
+			return
+		}
+		if err := o.AwaitRunning(p, 6); err != nil {
+			t.Errorf("await: %v", err)
+			return
+		}
+		if err := o.StartSweeps(SweepConfig{Interval: interval, Password: "pw", DestFor: sweepDest}); err != nil {
+			t.Errorf("start sweeps: %v", err)
+			return
+		}
+		start := p.Now()
+		var idleAt sim.Time
+		eng.Go("await-idle", func(ap *sim.Proc) {
+			ap.Sleep(time.Second)
+			o.AwaitSweepsIdle(ap)
+			idleAt = ap.Now()
+		})
+		if _, err := o.SaveSweep(p, "pw", sweepDest); err != nil {
+			t.Errorf("save sweep: %v", err)
+			return
+		}
+		done := p.Now()
+		if done-start <= interval {
+			t.Errorf("test setup: SaveSweep took %v, want it to span the %v tick", done-start, interval)
+		}
+		if idleAt < done {
+			t.Errorf("AwaitSweepsIdle returned at %v, before SaveSweep returned at %v", idleAt, done)
+		}
+		o.StopSweeps()
+		o.AwaitSweepsIdle(p)
+		for _, rec := range o.SweepReport().Records {
+			if rec.At < done {
+				t.Errorf("scheduled pass started at %v, before SaveSweep returned at %v", rec.At, done)
+			}
+		}
+		if err := o.StopAll(p); err != nil {
+			t.Errorf("stop: %v", err)
+		}
+	})
+}

@@ -96,7 +96,8 @@ func TestFromFleetBucketsInjectedFailures(t *testing.T) {
 
 // newSweepCluster builds a two-host pool and returns it with a proc
 // body prefix that launches four persistent nyms and waits for them.
-func newSweepCluster(t *testing.T, seed uint64) (*sim.Engine, *cluster.Cluster, func(p *sim.Proc)) {
+// A nil destFor keeps the cluster's default vault destination.
+func newSweepCluster(t *testing.T, seed uint64, destFor func(name string) core.VaultDest) (*sim.Engine, *cluster.Cluster, func(p *sim.Proc)) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	_, world := webworld.BuildDefault(eng)
@@ -104,6 +105,7 @@ func newSweepCluster(t *testing.T, seed uint64) (*sim.Engine, *cluster.Cluster, 
 		Hosts:      2,
 		HostConfig: hypervisor.Config{RAMBytes: 8 << 30, CPU: cpusched.DefaultConfig()},
 		Fleet:      fleet.Config{Restart: fleet.DefaultRestartPolicy()},
+		DestFor:    destFor,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +127,7 @@ func newSweepCluster(t *testing.T, seed uint64) (*sim.Engine, *cluster.Cluster, 
 }
 
 func TestFromClusterAggregatesSweepsAndRender(t *testing.T) {
-	eng, c, ramp := newSweepCluster(t, 12)
+	eng, c, ramp := newSweepCluster(t, 12, nil)
 	run(t, eng, func(p *sim.Proc) {
 		ramp(p)
 		if err := c.StartSweeps(cluster.SweepConfig{Interval: 20 * time.Second}); err != nil {
@@ -176,14 +178,13 @@ func TestFromClusterAggregatesSweepsAndRender(t *testing.T) {
 // record; the coordinator's error log wraps the same failures once per
 // slot, so adding both counted each failed save twice.
 func TestFromClusterCountsEachFailedSaveOnce(t *testing.T) {
-	eng, c, ramp := newSweepCluster(t, 13)
+	eng, c, ramp := newSweepCluster(t, 13, func(name string) core.VaultDest {
+		return core.VaultDest{Providers: []string{"nowhere"}, Account: name, AccountPassword: "p"}
+	})
 	run(t, eng, func(p *sim.Proc) {
 		ramp(p)
 		if err := c.StartSweeps(cluster.SweepConfig{
 			Interval: 10 * time.Second, Cadence: fleet.Cadence{Mode: fleet.CadenceAll},
-			DestFor: func(name string) core.VaultDest {
-				return core.VaultDest{Providers: []string{"nowhere"}, Account: name, AccountPassword: "p"}
-			},
 		}); err != nil {
 			t.Errorf("sweeps: %v", err)
 		}
@@ -205,7 +206,7 @@ func TestFromClusterCountsEachFailedSaveOnce(t *testing.T) {
 // measured the slot spacing (Interval/hosts) instead.
 func TestFromClusterStalenessIsPerHostPassGap(t *testing.T) {
 	const interval = 20 * time.Second
-	eng, c, ramp := newSweepCluster(t, 14)
+	eng, c, ramp := newSweepCluster(t, 14, nil)
 	run(t, eng, func(p *sim.Proc) {
 		ramp(p)
 		if err := c.StartSweeps(cluster.SweepConfig{Interval: interval}); err != nil {

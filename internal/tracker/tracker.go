@@ -19,23 +19,24 @@ import (
 
 // Config tunes the adversary's linking rules.
 type Config struct {
-	// FingerprintCrowdMin: a fingerprint seen with at least this many
-	// distinct cookies is "crowd" (shared hardware/software population)
-	// and useless as linking evidence. Nymix's homogeneous VMs push
-	// every honest user into one crowd.
-	FingerprintCrowdMin int
 	// SharedAddrs are source addresses known to be shared
 	// infrastructure (Tor exits, Dissent servers); they never link.
 	SharedAddrs map[string]bool
 }
 
-// DefaultConfig returns the standard adversary. A fingerprint shared
-// by fewer than four distinct profiles is treated as identifying —
-// real-world fingerprints are close to unique (Eckersley), so only a
-// deliberately homogenized population like Nymix's VMs forms a crowd.
+// DefaultConfig returns the standard adversary, which knows no shared
+// addresses yet.
 func DefaultConfig() Config {
-	return Config{FingerprintCrowdMin: 4, SharedAddrs: map[string]bool{}}
+	return Config{SharedAddrs: map[string]bool{}}
 }
+
+// fingerprintCrowdMin: a fingerprint seen with at least this many
+// distinct cookies is "crowd" (shared hardware/software population)
+// and useless as linking evidence. A fingerprint shared by fewer than
+// four distinct profiles is treated as identifying — real-world
+// fingerprints are close to unique (Eckersley), so only a deliberately
+// homogenized population like Nymix's VMs forms a crowd.
+const fingerprintCrowdMin = 4
 
 // Identity is a (site, account-or-cookie) pair the adversary tries to
 // cluster.
@@ -123,7 +124,7 @@ func Link(cfg Config, visits []webworld.Visit) []Cluster {
 		if v.Fingerprint == "" {
 			continue
 		}
-		if len(fpCookies[v.Fingerprint]) < cfg.FingerprintCrowdMin {
+		if len(fpCookies[v.Fingerprint]) < fingerprintCrowdMin {
 			byFP[v.Fingerprint] = append(byFP[v.Fingerprint], v)
 		}
 	}

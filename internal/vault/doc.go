@@ -17,8 +17,9 @@
 // against guessed content; chunk seals are convergent (nonce derived
 // from the address) so re-sealing unchanged content yields identical
 // blobs, which is what makes presence checks equal dedup. The manifest
-// is the only mutable object. Chunk sets can be replicated or striped
-// across multiple providers, and unreferenced chunks are reclaimed by
-// garbage collection that never touches chunks the latest manifest
-// still names.
+// is the only mutable object. Every chunk is replicated to every
+// provider of the destination, so any single surviving provider can
+// restore the nym, and unreferenced chunks are reclaimed by garbage
+// collection that never touches chunks the latest manifest still
+// names.
 package vault

@@ -43,27 +43,6 @@ type Addr [sha256.Size]byte
 // String returns the hex form used in blob names.
 func (a Addr) String() string { return hex.EncodeToString(a[:]) }
 
-// Placement selects how chunk sets map onto multiple providers.
-type Placement int
-
-const (
-	// Replicate stores every chunk at every provider: any single
-	// surviving provider can restore the nym.
-	Replicate Placement = iota
-	// Stripe partitions chunks across providers by address, cutting
-	// per-provider footprint to ~1/N; the manifest is still replicated
-	// everywhere, but a restore needs all providers reachable.
-	Stripe
-)
-
-// String names the placement.
-func (pl Placement) String() string {
-	if pl == Stripe {
-		return "stripe"
-	}
-	return "replicate"
-}
-
 // ChunkRef is one chunk as the manifest records it.
 type ChunkRef struct {
 	Addr     Addr
@@ -251,21 +230,20 @@ func (ix *Index) KnownBytes(provider string) int64 {
 
 // Store is a vault bound to one nym. Sessions are supplied per
 // operation (each save or restore logs in through the nym's own
-// anonymizer); their order must be stable across saves and loads of
-// the same nym when striping, because stripe assignment is positional.
+// anonymizer). Every chunk is replicated to every session's provider,
+// so any single surviving provider can restore the nym.
 type Store struct {
-	name      string
-	placement Placement
-	index     *Index
+	name  string
+	index *Index
 }
 
 // NewStore returns a vault for the named nym. A nil index is replaced
 // by a fresh one (every save then consults provider metadata).
-func NewStore(name string, placement Placement, index *Index) *Store {
+func NewStore(name string, index *Index) *Store {
 	if index == nil {
 		index = NewIndex()
 	}
-	return &Store{name: name, placement: placement, index: index}
+	return &Store{name: name, index: index}
 }
 
 // Index exposes the store's chunk-presence cache.
@@ -284,11 +262,6 @@ func (v *Store) chunkBlobName(a Addr) string {
 // chunkPrefix scopes provider listings to this nym's chunks.
 func (v *Store) chunkPrefix() string { return "vault-" + v.name + "-c-" }
 
-// assign maps a chunk address to its provider slot under striping.
-func assign(a Addr, n int) int {
-	return int(binary.BigEndian.Uint32(a[:4]) % uint32(n))
-}
-
 // SaveStats reports one delta save cycle.
 type SaveStats struct {
 	TotalChunks    int   // chunks in the manifest
@@ -298,9 +271,8 @@ type SaveStats struct {
 	// ChunkUploadBytes is the chunk wire actually sent — including the
 	// per-blob batch framing the transfer charges — summed over
 	// providers. ColdChunkBytes is what a dedup-free save would have
-	// sent to the same placement (N copies under Replicate, one
-	// partitioned copy under Stripe), framed identically, so
-	// DedupFrac compares like with like.
+	// sent to the same providers (one copy each), framed identically,
+	// so DedupFrac compares like with like.
 	ChunkUploadBytes int64
 	ColdChunkBytes   int64
 	UploadedBytes    int64 // total wire sent: framed chunk uploads + every manifest copy
@@ -311,7 +283,7 @@ type SaveStats struct {
 	BaselineWireBytes int64
 }
 
-// DedupFrac is the fraction of the placement's chunk wire that did NOT
+// DedupFrac is the fraction of the replicated chunk wire that did NOT
 // need uploading: 1 - ChunkUploadBytes/ColdChunkBytes.
 func (s SaveStats) DedupFrac() float64 {
 	if s.ColdChunkBytes == 0 {
@@ -474,14 +446,11 @@ func (v *Store) Save(p *sim.Proc, st *nymstate.State, password string, sessions 
 	// every replica, so a chunk is encrypted once no matter how many
 	// providers receive it.
 	sealed := make(map[Addr][]byte)
-	for si, sess := range sessions {
+	for _, sess := range sessions {
 		batch := make(map[string]cloud.Blob)
 		var batchChunks int
 		var batchWire int64
 		for _, r := range c.refs {
-			if v.placement == Stripe && len(sessions) > 1 && assign(r.Addr, len(sessions)) != si {
-				continue
-			}
 			stats.ColdChunkBytes += r.WireSize + cloud.BatchFrameBytes
 			provider := sess.Provider().Name()
 			if v.index.Has(provider, r.Addr) {
@@ -597,8 +566,7 @@ type LoadStats struct {
 
 // Load fetches the manifest and every referenced chunk, verifies each
 // chunk against the manifest's Merkle root, and rebuilds the state
-// byte-identically. Under Replicate any single reachable provider
-// suffices; under Stripe each provider serves its own partition.
+// byte-identically. Any single reachable provider suffices.
 func (v *Store) Load(p *sim.Proc, password string, sessions []*cloud.Session) (*nymstate.State, LoadStats, error) {
 	var stats LoadStats
 	if len(sessions) == 0 {
@@ -628,19 +596,19 @@ func (v *Store) Load(p *sim.Proc, password string, sessions []*cloud.Session) (*
 		return nil, stats, nymerr.Wrap(CodeTampered, merkle.ErrTampered, "manifest chunk list")
 	}
 
-	// Fetch chunks in manifest order, batched per provider.
+	// Fetch every chunk in manifest order, in one batch per provider.
+	names := make([]string, len(man.Chunks))
+	for i, r := range man.Chunks {
+		names[i] = v.chunkBlobName(r.Addr)
+	}
 	plain := make(map[Addr][]byte)
-	fetch := func(sess *cloud.Session, idxs []int) error {
-		names := make([]string, len(idxs))
-		for i, ci := range idxs {
-			names[i] = v.chunkBlobName(man.Chunks[ci].Addr)
-		}
+	fetch := func(sess *cloud.Session) error {
 		blobs, err := sess.GetBatch(p, names)
 		if err != nil {
 			return err
 		}
-		for i, ci := range idxs {
-			if err := verifyChunk(ks, gcm, man.Chunks[ci], blobs[names[i]], plain); err != nil {
+		for i, r := range man.Chunks {
+			if err := verifyChunk(ks, gcm, r, blobs[names[i]], plain); err != nil {
 				return err
 			}
 			stats.Chunks++
@@ -648,54 +616,25 @@ func (v *Store) Load(p *sim.Proc, password string, sessions []*cloud.Session) (*
 		}
 		return nil
 	}
-	// served tracks which provider actually delivered which chunks:
-	// only a fetch we verified is proof of presence.
-	served := make(map[int][]int)
-	if v.placement == Stripe && len(sessions) > 1 {
-		parts := make([][]int, len(sessions))
-		for ci, r := range man.Chunks {
-			si := assign(r.Addr, len(sessions))
-			parts[si] = append(parts[si], ci)
+	// served is the provider that actually delivered the chunks: only a
+	// fetch we verified is proof of presence.
+	var served *cloud.Session
+	base := stats
+	for _, sess := range sessions {
+		stats = base // count only the attempt that succeeds
+		if err = fetch(sess); err == nil {
+			served = sess
+			break
 		}
-		for si, idxs := range parts {
-			if len(idxs) == 0 {
-				continue
-			}
-			if err := fetch(sessions[si], idxs); err != nil {
-				if !errors.Is(err, merkle.ErrTampered) {
-					// The partition holder failed to serve: its index
-					// entries are no longer evidence (same invalidation
-					// as the replicate path), so a later save re-uploads
-					// what it lost instead of trusting stale state.
-					v.index.Drop(sessions[si].Provider().Name())
-				}
-				return nil, stats, fmt.Errorf("vault: load stripe %d: %w", si, err)
-			}
-			served[si] = idxs
+		if errors.Is(err, merkle.ErrTampered) {
+			return nil, stats, err // tampering is not a reachability problem
 		}
-	} else {
-		all := make([]int, len(man.Chunks))
-		for i := range all {
-			all[i] = i
-		}
-		var err error
-		base := stats
-		for si, sess := range sessions {
-			stats = base // count only the attempt that succeeds
-			if err = fetch(sess, all); err == nil {
-				served[si] = all
-				break
-			}
-			if errors.Is(err, merkle.ErrTampered) {
-				return nil, stats, err // tampering is not a reachability problem
-			}
-			// This replica failed to serve the checkpoint: whatever the
-			// index believed about it is no longer evidence.
-			v.index.Drop(sess.Provider().Name())
-		}
-		if err != nil {
-			return nil, stats, fmt.Errorf("vault: load chunks: %w", err)
-		}
+		// This replica failed to serve the checkpoint: whatever the
+		// index believed about it is no longer evidence.
+		v.index.Drop(sess.Provider().Name())
+	}
+	if err != nil {
+		return nil, stats, fmt.Errorf("vault: load chunks: %w", err)
 	}
 
 	st, err := man.buildState(plain)
@@ -707,11 +646,9 @@ func (v *Store) Load(p *sim.Proc, password string, sessions []*cloud.Session) (*
 	// may have lost data; assuming it still holds the chunks would make
 	// the next save skip re-uploading there and quietly break the
 	// replication guarantee.
-	for si, idxs := range served {
-		provider := sessions[si].Provider().Name()
-		for _, ci := range idxs {
-			v.index.Add(provider, man.Chunks[ci].Addr, man.Chunks[ci].WireSize)
-		}
+	provider := served.Provider().Name()
+	for _, r := range man.Chunks {
+		v.index.Add(provider, r.Addr, r.WireSize)
 	}
 	return st, stats, nil
 }

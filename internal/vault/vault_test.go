@@ -276,7 +276,7 @@ func TestPooledGzipMatchesFreshWriter(t *testing.T) {
 func BenchmarkVaultDeltaSave(b *testing.B) {
 	r := newRig(b, 0)
 	st := testState("alice")
-	vs := NewStore("alice", Replicate, nil)
+	vs := NewStore("alice", nil)
 	r.run(b, 1, func(p *sim.Proc, sessions []*cloud.Session) {
 		if _, err := vs.Save(p, st, "pw", sessions, r.eng.Rand()); err != nil {
 			b.Errorf("warm save: %v", err)
@@ -339,7 +339,7 @@ func TestCutRealBoundariesSurviveShift(t *testing.T) {
 func TestRoundTripByteIdentical(t *testing.T) {
 	r := newRig(t, 0)
 	st := testState("alice")
-	vs := NewStore("alice", Replicate, nil)
+	vs := NewStore("alice", nil)
 	r.run(t, 1, func(p *sim.Proc, sessions []*cloud.Session) {
 		if _, err := vs.Save(p, st, "pw", sessions, r.eng.Rand()); err != nil {
 			t.Errorf("save: %v", err)
@@ -365,7 +365,7 @@ func TestEmptyState(t *testing.T) {
 		AnonDisk: unionfs.Image{Name: "anon/writable", Files: map[string]unionfs.FileImage{}},
 		CommDisk: unionfs.Image{Name: "comm/writable", Files: map[string]unionfs.FileImage{}},
 	}
-	vs := NewStore("blank", Replicate, nil)
+	vs := NewStore("blank", nil)
 	r.run(t, 1, func(p *sim.Proc, sessions []*cloud.Session) {
 		stats, err := vs.Save(p, st, "pw", sessions, r.eng.Rand())
 		if err != nil {
@@ -394,7 +394,7 @@ func TestSingleChunkState(t *testing.T) {
 		}},
 		CommDisk: unionfs.Image{Name: "comm/writable", Files: map[string]unionfs.FileImage{}},
 	}
-	vs := NewStore("tiny", Replicate, nil)
+	vs := NewStore("tiny", nil)
 	r.run(t, 1, func(p *sim.Proc, sessions []*cloud.Session) {
 		stats, err := vs.Save(p, st, "pw", sessions, r.eng.Rand())
 		if err != nil {
@@ -415,7 +415,7 @@ func TestSingleChunkState(t *testing.T) {
 
 func TestWrongPasswordOnManifest(t *testing.T) {
 	r := newRig(t, 0)
-	vs := NewStore("alice", Replicate, nil)
+	vs := NewStore("alice", nil)
 	r.run(t, 1, func(p *sim.Proc, sessions []*cloud.Session) {
 		if _, err := vs.Save(p, testState("alice"), "right", sessions, r.eng.Rand()); err != nil {
 			t.Errorf("save: %v", err)
@@ -448,7 +448,7 @@ func (f *flakyAnon) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult
 // set). The probe failure is now its own typed code.
 func TestManifestProbeOutageIsNotNoManifest(t *testing.T) {
 	r := newRig(t, 0)
-	vs := NewStore("alice", Replicate, nil)
+	vs := NewStore("alice", nil)
 	r.eng.Go("test", func(p *sim.Proc) {
 		r.relay.Start(p)
 		flaky := &flakyAnon{Anonymizer: r.relay}
@@ -480,7 +480,7 @@ func TestManifestProbeOutageIsNotNoManifest(t *testing.T) {
 
 func TestTamperedChunkFailsMerkleVerification(t *testing.T) {
 	r := newRig(t, 0)
-	vs := NewStore("alice", Replicate, nil)
+	vs := NewStore("alice", nil)
 	r.run(t, 1, func(p *sim.Proc, sessions []*cloud.Session) {
 		sess := sessions[0]
 		if _, err := vs.Save(p, testState("alice"), "pw", sessions, r.eng.Rand()); err != nil {
@@ -520,7 +520,7 @@ func TestTamperedChunkFailsMerkleVerification(t *testing.T) {
 func TestDeltaSaveUploadsOnlyChangedChunks(t *testing.T) {
 	r := newRig(t, 0)
 	st := testState("alice")
-	vs := NewStore("alice", Replicate, nil)
+	vs := NewStore("alice", nil)
 	r.run(t, 1, func(p *sim.Proc, sessions []*cloud.Session) {
 		first, err := vs.Save(p, st, "pw", sessions, r.eng.Rand())
 		if err != nil {
@@ -581,11 +581,11 @@ func TestColdIndexFallsBackToProviderMetadata(t *testing.T) {
 	r := newRig(t, 0)
 	st := testState("alice")
 	r.run(t, 1, func(p *sim.Proc, sessions []*cloud.Session) {
-		if _, err := NewStore("alice", Replicate, nil).Save(p, st, "pw", sessions, r.eng.Rand()); err != nil {
+		if _, err := NewStore("alice", nil).Save(p, st, "pw", sessions, r.eng.Rand()); err != nil {
 			t.Errorf("save 1: %v", err)
 			return
 		}
-		cold := NewStore("alice", Replicate, nil)
+		cold := NewStore("alice", nil)
 		stats, err := cold.Save(p, st, "pw", sessions, r.eng.Rand())
 		if err != nil {
 			t.Errorf("save 2: %v", err)
@@ -599,7 +599,7 @@ func TestColdIndexFallsBackToProviderMetadata(t *testing.T) {
 
 func TestGCKeepsEverythingTheLatestManifestReferences(t *testing.T) {
 	r := newRig(t, 0)
-	vs := NewStore("alice", Replicate, nil)
+	vs := NewStore("alice", nil)
 	r.run(t, 1, func(p *sim.Proc, sessions []*cloud.Session) {
 		st := testState("alice")
 		st.AnonDisk.Files["/home/user/scratch"] = unionfs.FileImage{Real: true, Data: patternBytes(3, 64<<10)}
@@ -650,45 +650,9 @@ func TestGCKeepsEverythingTheLatestManifestReferences(t *testing.T) {
 	})
 }
 
-func TestStripePartitionsAcrossProviders(t *testing.T) {
-	r := newRig(t, 0)
-	st := testState("alice")
-	vs := NewStore("alice", Stripe, nil)
-	r.run(t, 2, func(p *sim.Proc, sessions []*cloud.Session) {
-		stats, err := vs.Save(p, st, "pw", sessions, r.eng.Rand())
-		if err != nil {
-			t.Errorf("save: %v", err)
-			return
-		}
-		counts := make([]int, 2)
-		for si, sess := range sessions {
-			for _, name := range sess.List() {
-				if strings.HasPrefix(name, vs.chunkPrefix()) {
-					counts[si]++
-				}
-			}
-			if !sess.Has(vs.manifestBlobName()) {
-				t.Errorf("provider %d missing the manifest", si)
-			}
-		}
-		if counts[0]+counts[1] != stats.TotalChunks {
-			t.Errorf("stripe holds %d+%d chunks, want %d total", counts[0], counts[1], stats.TotalChunks)
-		}
-		if counts[0] == 0 || counts[1] == 0 {
-			t.Errorf("degenerate stripe: %v", counts)
-		}
-		got, _, err := vs.Load(p, "pw", sessions)
-		if err != nil {
-			t.Errorf("load: %v", err)
-			return
-		}
-		mustEqualState(t, st, got)
-	})
-}
-
 func TestGCWrongPasswordReportsBadPassword(t *testing.T) {
 	r := newRig(t, 0)
-	vs := NewStore("alice", Replicate, nil)
+	vs := NewStore("alice", nil)
 	r.run(t, 1, func(p *sim.Proc, sessions []*cloud.Session) {
 		if _, err := vs.Save(p, testState("alice"), "right", sessions, r.eng.Rand()); err != nil {
 			t.Errorf("save: %v", err)
@@ -700,50 +664,10 @@ func TestGCWrongPasswordReportsBadPassword(t *testing.T) {
 	})
 }
 
-func TestStripeLossInvalidatesIndexAndRecovers(t *testing.T) {
-	// A striped partition holder that loses data must be detected by
-	// the failed load and re-provisioned by the next save, exactly
-	// like the replicate path.
-	r := newRig(t, 0)
-	st := testState("alice")
-	vs := NewStore("alice", Stripe, nil)
-	r.run(t, 2, func(p *sim.Proc, sessions []*cloud.Session) {
-		if _, err := vs.Save(p, st, "pw", sessions, r.eng.Rand()); err != nil {
-			t.Errorf("save: %v", err)
-			return
-		}
-		// Provider 1 loses its chunk partition (keeps the manifest).
-		for _, name := range sessions[1].List() {
-			if strings.HasPrefix(name, vs.chunkPrefix()) {
-				if err := sessions[1].Delete(name); err != nil {
-					t.Errorf("wipe: %v", err)
-					return
-				}
-			}
-		}
-		if _, _, err := vs.Load(p, "pw", sessions); err == nil {
-			t.Error("load should fail with a lost stripe partition")
-			return
-		}
-		// The failed load invalidated the stale index: saving again
-		// restores the partition, and the restore works.
-		if _, err := vs.Save(p, st, "pw", sessions, r.eng.Rand()); err != nil {
-			t.Errorf("re-save: %v", err)
-			return
-		}
-		got, _, err := vs.Load(p, "pw", sessions)
-		if err != nil {
-			t.Errorf("load after re-save: %v", err)
-			return
-		}
-		mustEqualState(t, st, got)
-	})
-}
-
 func TestReplicateSurvivesProviderLoss(t *testing.T) {
 	r := newRig(t, 0)
 	st := testState("alice")
-	vs := NewStore("alice", Replicate, nil)
+	vs := NewStore("alice", nil)
 	r.run(t, 2, func(p *sim.Proc, sessions []*cloud.Session) {
 		if _, err := vs.Save(p, st, "pw", sessions, r.eng.Rand()); err != nil {
 			t.Errorf("save: %v", err)
@@ -762,6 +686,15 @@ func TestReplicateSurvivesProviderLoss(t *testing.T) {
 			return
 		}
 		mustEqualState(t, st, got)
+		// The failed fetch dropped the wiped provider's index entries;
+		// the provider that served the restore is indexed as holding
+		// every chunk.
+		if n := vs.Index().KnownBytes(sessions[0].Provider().Name()); n != 0 {
+			t.Errorf("wiped provider still indexed with %d bytes after its fetch failed", n)
+		}
+		if vs.Index().KnownBytes(sessions[1].Provider().Name()) == 0 {
+			t.Error("serving provider not indexed after the restore")
+		}
 		// Regression: the load must not have marked the wiped provider
 		// as holding chunks it no longer has — the next save has to
 		// re-replicate there, restoring the any-single-provider
@@ -791,7 +724,7 @@ func TestLoadAndGCPreferNewestManifest(t *testing.T) {
 	st2 := testState("alice")
 	st2.Cycles = 2
 	st2.AnonDisk.Files["/home/user/notes"] = unionfs.FileImage{Real: true, Data: []byte("session-two secrets")}
-	vs := NewStore("alice", Replicate, nil)
+	vs := NewStore("alice", nil)
 	r.run(t, 2, func(p *sim.Proc, sessions []*cloud.Session) {
 		if _, err := vs.Save(p, st1, "pw", sessions, r.eng.Rand()); err != nil {
 			t.Errorf("save 1: %v", err)
@@ -831,7 +764,7 @@ func TestBatchTransfersBeatPerBlobRoundTrips(t *testing.T) {
 	rBatch := newRig(t, 0)
 	st := testState("alice")
 	var batched time.Duration
-	vs := NewStore("alice", Replicate, nil)
+	vs := NewStore("alice", nil)
 	rBatch.run(t, 1, func(p *sim.Proc, sessions []*cloud.Session) {
 		start := p.Now()
 		stats, err := vs.Save(p, st, "pw", sessions, rBatch.eng.Rand())
@@ -855,7 +788,7 @@ func TestBatchTransfersBeatPerBlobRoundTrips(t *testing.T) {
 			return
 		}
 		c := chunkState(st, ks)
-		NewStore("alice", Replicate, nil).priceChunks(&c, nil)
+		NewStore("alice", nil).priceChunks(&c, nil)
 		start := p.Now()
 		for _, ref := range c.refs {
 			blob := cloud.Blob{WireSize: ref.WireSize}
@@ -877,7 +810,7 @@ func TestBatchTransfersBeatPerBlobRoundTrips(t *testing.T) {
 // TestChunkBlobNameFormat pins the stored chunk name: the nym's chunk
 // prefix followed by the hex chunk address.
 func TestChunkBlobNameFormat(t *testing.T) {
-	vs := NewStore("alice", Replicate, nil)
+	vs := NewStore("alice", nil)
 	var a Addr
 	for i := range a {
 		a[i] = byte(i * 7)

@@ -174,7 +174,8 @@ func TestActivateRecheckDuringHandshake(t *testing.T) {
 }
 
 func TestLossInflatesWireVolume(t *testing.T) {
-	eng, n, l := twoNodeNet(LinkConfig{Capacity: 1e6, Loss: 0.2})
+	eng, n, l := twoNodeNet(LinkConfig{Capacity: 1e6})
+	l.SetLoss(0.2)
 	a, _ := l.Endpoints()
 	if l.Loss(a) != 0.2 {
 		t.Fatalf("loss = %v", l.Loss(a))

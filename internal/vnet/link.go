@@ -7,11 +7,11 @@ import (
 	"nymix/internal/sim"
 )
 
-// LinkConfig parameterizes a link.
+// LinkConfig parameterizes a link. A new link is lossless; SetLoss
+// makes it lossy.
 type LinkConfig struct {
 	Latency  time.Duration // one-way propagation delay
 	Capacity float64       // bytes per second, shared by both directions; 0 = unlimited
-	Loss     float64       // fraction of wire bytes lost per crossing [0,0.9]; retransmission inflates the flow's wire volume
 }
 
 // Link direction indices: dirAB is traversal from endpoint a toward
@@ -40,12 +40,7 @@ type Link struct {
 
 // Connect joins two nodes with a link.
 func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
-	loss := clampLoss(cfg.Loss)
-	l := &Link{
-		id:   len(n.links),
-		cfg:  cfg,
-		loss: [2]float64{loss, loss},
-	}
+	l := &Link{id: len(n.links), cfg: cfg}
 	l.a = &NIC{node: a, link: l}
 	l.b = &NIC{node: b, link: l}
 	a.ifaces = append(a.ifaces, l.a)
@@ -147,12 +142,13 @@ func (l *Link) Down() bool { return l.down[dirAB] || l.down[dirBA] }
 // DownFrom reports whether the direction transmitted from nd is down.
 func (l *Link) DownFrom(nd *Node) bool { return l.down[l.dirFrom(nd)] }
 
-// SetLoss sets the link's loss rate in both directions for flows
-// started after the call (in-flight flows keep the wire volume they
-// were admitted with). The rate is clamped to [0, 0.9].
+// SetLoss sets the link's loss rate — the fraction of wire bytes lost
+// per crossing, which retransmission adds to a flow's wire volume — in
+// both directions for flows started after the call (in-flight flows
+// keep the wire volume they were admitted with). The rate is clamped
+// to [0, 0.9].
 func (l *Link) SetLoss(loss float64) {
 	v := clampLoss(loss)
-	l.cfg.Loss = v
 	l.loss[dirAB] = v
 	l.loss[dirBA] = v
 }

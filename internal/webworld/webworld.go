@@ -139,19 +139,16 @@ func DefaultSites() []SiteProfile {
 	}
 }
 
-// Config parameterizes the world build.
-type Config struct {
-	Sites        []SiteProfile
-	RelayCount   int // Tor relays in the DeterLab enclave
-	DissentCount int // Dissent anytrust servers
-	MixCount     int // mix-cascade hops in the MixRegion enclave
-}
-
-// DefaultConfig mirrors the paper's testbed, extended with a 3-hop
-// mix cascade for the mixnet transport.
-func DefaultConfig() Config {
-	return Config{Sites: DefaultSites(), RelayCount: 9, DissentCount: 3, MixCount: 3}
-}
+// The paper's testbed (section 5.2): 9 Tor relays and 3 Dissent
+// anytrust servers in the DeterLab enclave, extended with a 3-hop mix
+// cascade for the mixnet transport. The first third of the relays are
+// guards and the last third exits.
+const (
+	relayCount   = 9
+	dissentCount = 3
+	mixCount     = 3
+	guardCount   = relayCount / 3
+)
 
 // Link parameters. The Nymix host's uplink is rate limited to
 // 10 Mbit/s and the DeterLab path gives an 80 ms round trip (paper
@@ -168,8 +165,8 @@ var (
 	lanCfg      = vnet.LinkConfig{Latency: time.Millisecond, Capacity: 1e9 / 8}
 )
 
-// Build constructs the world on an existing network.
-func Build(net *vnet.Network, cfg Config) *World {
+// Build constructs the paper's testbed on an existing network.
+func Build(net *vnet.Network) *World {
 	w := &World{
 		eng:     net.Engine(),
 		net:     net,
@@ -191,25 +188,24 @@ func Build(net *vnet.Network, cfg Config) *World {
 	net.Connect(w.mailGW, w.internet, siteCfg)
 	net.Connect(w.sweetPrx, w.mailGW, siteCfg)
 
-	for _, prof := range cfg.Sites {
+	for _, prof := range DefaultSites() {
 		w.addSiteAt(prof, w.internet, siteCfg)
 	}
 	// The bulk-download server lives inside DeterLab, "in order to
 	// guarantee the 10 Mbit download rate" (section 5.2).
 	w.fileHost = w.addSiteAt(SiteProfile{Host: "kernel.deterlab.net", InitialPage: 64 << 10, RevisitPage: 64 << 10}, w.deterlab, relayCfg)
 
-	for i := 0; i < cfg.RelayCount; i++ {
+	for i := 0; i < relayCount; i++ {
 		name := relayName(i)
 		n := net.AddNode(name)
 		net.Connect(n, w.deterlab, relayCfg)
 		w.relays = append(w.relays, Relay{
 			NodeName: name,
-			// First third are guards, last third are exits.
-			Guard: i < (cfg.RelayCount+2)/3,
-			Exit:  i >= cfg.RelayCount-(cfg.RelayCount+2)/3,
+			Guard:    i < guardCount,
+			Exit:     i >= relayCount-guardCount,
 		})
 	}
-	for i := 0; i < cfg.DissentCount; i++ {
+	for i := 0; i < dissentCount; i++ {
 		name := dissentName(i)
 		n := net.AddNode(name)
 		net.Connect(n, w.deterlab, relayCfg)
@@ -218,23 +214,21 @@ func Build(net *vnet.Network, cfg Config) *World {
 	// The mix cascade lives in its own enclave behind a regional
 	// gateway, so SeverRegions can cut a hosting region off from the
 	// mixes without touching the rest of the backbone.
-	if cfg.MixCount > 0 {
-		mixGW := net.AddRouter("mixnet-gw").WithRegion(MixRegion).Node
-		net.Connect(mixGW, w.internet, backboneCfg)
-		for i := 0; i < cfg.MixCount; i++ {
-			name := mixName(i)
-			n := net.AddNode(name).SetRegion(MixRegion)
-			net.Connect(n, mixGW, relayCfg)
-			w.mixes = append(w.mixes, name)
-		}
+	mixGW := net.AddRouter("mixnet-gw").WithRegion(MixRegion).Node
+	net.Connect(mixGW, w.internet, backboneCfg)
+	for i := 0; i < mixCount; i++ {
+		name := mixName(i)
+		n := net.AddNode(name).SetRegion(MixRegion)
+		net.Connect(n, mixGW, relayCfg)
+		w.mixes = append(w.mixes, name)
 	}
 	return w
 }
 
-// BuildDefault creates a fresh engine-bound network and default world.
+// BuildDefault creates a fresh engine-bound network and its world.
 func BuildDefault(eng *sim.Engine) (*vnet.Network, *World) {
 	net := vnet.New(eng)
-	return net, Build(net, DefaultConfig())
+	return net, Build(net)
 }
 
 func relayName(i int) string { return "relay-" + string(rune('a'+i)) }
@@ -327,12 +321,7 @@ func (w *World) TrackerLog() []Visit { return w.trackerLog }
 func (w *World) AllVisits() []Visit {
 	var out []Visit
 	for _, prof := range DefaultSites() {
-		if s := w.sites[prof.Host]; s != nil {
-			out = append(out, s.visits...)
-		}
+		out = append(out, w.sites[prof.Host].visits...)
 	}
-	if w.fileHost != nil {
-		out = append(out, w.fileHost.visits...)
-	}
-	return out
+	return append(out, w.fileHost.visits...)
 }

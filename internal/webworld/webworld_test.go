@@ -138,13 +138,48 @@ func TestSiteWeightOrderingForFigure6(t *testing.T) {
 }
 
 func TestBuildOnExistingNetwork(t *testing.T) {
+	// Build always lays out the paper's testbed, also on a network the
+	// caller made: 9 relays (3 guards, 3 exits), 3 Dissent servers, a
+	// 3-mix cascade in MixRegion and every workload site.
 	eng := sim.NewEngine(1)
 	net := vnet.New(eng)
-	w := Build(net, Config{Sites: DefaultSites()[:2], RelayCount: 3, DissentCount: 1})
-	if len(w.Relays()) != 3 {
-		t.Fatalf("relays = %d", len(w.Relays()))
+	w := Build(net)
+	var guards, exits int
+	for _, r := range w.Relays() {
+		if net.Node(r.NodeName) == nil {
+			t.Fatalf("relay %s not on the network", r.NodeName)
+		}
+		if r.Guard {
+			guards++
+		}
+		if r.Exit {
+			exits++
+		}
 	}
-	if w.Site("youtube.com") != nil {
-		t.Fatal("unrequested site built")
+	if len(w.Relays()) != 9 || guards != 3 || exits != 3 {
+		t.Fatalf("relays = %d, guards = %d, exits = %d; want 9, 3, 3", len(w.Relays()), guards, exits)
+	}
+	if len(w.DissentServers()) != 3 {
+		t.Fatalf("dissent servers = %d, want 3", len(w.DissentServers()))
+	}
+	for _, name := range w.DissentServers() {
+		if net.Node(name) == nil {
+			t.Fatalf("dissent server %s not on the network", name)
+		}
+	}
+	if len(w.MixCascade()) != 3 {
+		t.Fatalf("mixes = %d, want 3", len(w.MixCascade()))
+	}
+	for _, name := range w.MixCascade() {
+		n := net.Node(name)
+		if n == nil || n.Region() != MixRegion {
+			t.Fatalf("mix %s missing or outside %q", name, MixRegion)
+		}
+	}
+	for _, prof := range DefaultSites() {
+		node, ok := w.Lookup(prof.Host)
+		if w.Site(prof.Host) == nil || !ok || net.Node(node) == nil {
+			t.Fatalf("site %s not built", prof.Host)
+		}
 	}
 }
