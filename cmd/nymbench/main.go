@@ -47,7 +47,12 @@ type benchFile struct {
 	Results   []benchResult `json:"results"`
 }
 
-func main() {
+func main() { os.Exit(runExperiments()) }
+
+// runExperiments is main's body. It returns the exit code instead of
+// calling os.Exit, so its deferred CPU-profile stop also runs when an
+// experiment fails.
+func runExperiments() int {
 	names := []string{"all"}
 	for _, e := range experiments.Registry {
 		names = append(names, e.Name)
@@ -69,7 +74,7 @@ func main() {
 	}
 	if len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "nymbench: unknown experiment %q\n", *run)
-		os.Exit(2)
+		return 2
 	}
 	size := experiments.Size{Nyms: *nyms, Hosts: *hosts, Rounds: *rounds}
 	bench := benchFile{Run: *run, Seed: *seed, GoVersion: runtime.Version()}
@@ -80,9 +85,10 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nymbench: cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
+		defer pprof.StopCPUProfile()
 	}
 	for _, e := range selected {
 		var before, after runtime.MemStats
@@ -93,7 +99,7 @@ func main() {
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nymbench: %s: %v\n", e.Name, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Println(out)
 		bench.Results = append(bench.Results, benchResult{
@@ -105,18 +111,18 @@ func main() {
 			Result:     result,
 		})
 	}
-	pprof.StopCPUProfile()
 	if *emitJSON {
 		path := fmt.Sprintf("BENCH_%s.json", *run)
 		data, err := json.MarshalIndent(bench, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nymbench: marshal %s: %v\n", path, err)
-			os.Exit(1)
+			return 1
 		}
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "nymbench: write %s: %v\n", path, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "nymbench: wrote %s\n", path)
 	}
+	return 0
 }

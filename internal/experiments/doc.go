@@ -10,4 +10,7 @@
 // helpers print them in the paper's layout. Registry names every
 // experiment with one run-and-render entry; cmd/nymbench loops over
 // it and bench_test.go runs each entry as a testing.B sub-benchmark.
+// Registry is also the golden index: TestGoldenExperiments runs every
+// entry twice at once at seed 1 and compares both results with
+// testdata/<name>.json.
 package experiments

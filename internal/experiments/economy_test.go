@@ -13,17 +13,10 @@ import (
 // overloads (rounds skipped) and the adaptive machinery genuinely
 // engages (deferrals, idle-slot GC probes).
 func TestEconomyShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-minute three-mode cluster run")
-	}
-	res, err := Economy(7, 64, 2, 8)
-	if err != nil {
-		t.Fatalf("economy: %v", err)
-	}
+	res := ciResult[*EconomyResult](t, "economy")
 	if err := res.Gate(); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "economy.json", res)
 	if res.Fixed.RoundsSkipped == 0 {
 		t.Fatal("fixed-interval mode never overran a round; the workload is not oversubscribing the uplink budget")
 	}

@@ -3,16 +3,100 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
 // update rewrites the golden files from the current code instead of
 // comparing against them: go test ./internal/experiments -run Golden -update
-// (TestEconomyShape writes economy.json the same way).
+// (the tests that pin custom-size runs write theirs the same way).
 var update = flag.Bool("update", false, "rewrite testdata golden files")
+
+// ciSize is the size each registry entry runs at in the tests; an
+// entry not listed runs at its default. These three default to
+// production-scale pools that take seconds to minutes.
+var ciSize = map[string]Size{
+	"shards":  {Nyms: 64, Hosts: 2},
+	"sweeps":  {Nyms: 8, Rounds: 4},
+	"economy": {Nyms: 64, Hosts: 2, Rounds: 8},
+}
+
+// registryRun is one registry entry run at seed 1 and its CI size,
+// twice at once on two goroutines with separate engines. result is
+// the first run's; diverged is set when the two runs' JSON differs.
+type registryRun struct {
+	exp      Experiment
+	once     sync.Once
+	result   any
+	diverged string
+	err      error
+}
+
+func (r *registryRun) run() {
+	var (
+		wg      sync.WaitGroup
+		results [2]any
+		errs    [2]error
+	)
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, results[i], errs[i] = r.exp.Run(1, ciSize[r.exp.Name])
+		}()
+	}
+	wg.Wait()
+	if r.err = errors.Join(errs[:]...); r.err != nil {
+		return
+	}
+	a, errA := json.MarshalIndent(results[0], "", "  ")
+	b, errB := json.MarshalIndent(results[1], "", "  ")
+	r.result, r.err = results[0], errors.Join(errA, errB)
+	if !bytes.Equal(a, b) {
+		r.diverged = "--- run A ---\n" + string(a) + "\n--- run B ---\n" + string(b)
+	}
+}
+
+// registryRuns memoizes every entry, so the golden loop and the shape
+// tests that share its seed and size run each experiment once (as a
+// concurrent pair) per test binary.
+var registryRuns = func() map[string]*registryRun {
+	m := make(map[string]*registryRun, len(Registry))
+	for _, e := range Registry {
+		m[e.Name] = &registryRun{exp: e}
+	}
+	return m
+}()
+
+// ciRun returns the named entry's memoized run, running it on first
+// use.
+func ciRun(t *testing.T, name string) *registryRun {
+	t.Helper()
+	r, ok := registryRuns[name]
+	if !ok {
+		t.Fatalf("no registry entry %q", name)
+	}
+	r.once.Do(r.run)
+	if r.err != nil {
+		t.Fatalf("%s: %v", name, r.err)
+	}
+	return r
+}
+
+// ciResult is ciRun's result as the type the entry's generator returns.
+func ciResult[R any](t *testing.T, name string) R {
+	t.Helper()
+	v := ciRun(t, name).result
+	res, ok := v.(R)
+	if !ok {
+		t.Fatalf("%s result is %T, not %T", name, v, res)
+	}
+	return res
+}
 
 // checkGolden compares v's indented JSON to testdata/name. Every field
 // the experiments record is simulated time or a simulated quantity, so
@@ -44,46 +128,18 @@ func checkGolden(t *testing.T, name string, v any) {
 	}
 }
 
-// TestGoldenSweepSteadyState pins the scheduled-vs-naive sweep
-// experiment: fleet.SweepConfig's dirty and save-everything modes.
-func TestGoldenSweepSteadyState(t *testing.T) {
-	res, err := SweepSteadyState(1, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "sweeps.json", res)
-}
-
-// TestGoldenPartition pins the fault-schedule experiment, whose
-// coordinator sweeps fail typed under a provider partition.
-func TestGoldenPartition(t *testing.T) {
-	res, err := Partition(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "partition.json", res)
-}
-
-// TestGoldenExperiments pins the experiments no other test runs at
-// their default size: the NymVault incremental-save table, the DPI
-// censorship run, and the five-backend anonymity-vs-cost frontier.
-// Each is looked up in Registry, so the golden is what nymbench -json
-// records as the run's result.
+// TestGoldenExperiments is the registry check: every entry, at seed 1
+// and its CI size, must reproduce testdata/<name>.json (what nymbench
+// -json records as the run's result), and its two concurrent runs on
+// separate engines must agree byte for byte.
 func TestGoldenExperiments(t *testing.T) {
-	for _, name := range []string{"vault", "censorship", "mixnet"} {
-		t.Run(name, func(t *testing.T) {
-			for _, e := range Registry {
-				if e.Name != name {
-					continue
-				}
-				_, res, err := e.Run(1, Size{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkGolden(t, name+".json", res)
-				return
+	for _, e := range Registry {
+		t.Run(e.Name, func(t *testing.T) {
+			r := ciRun(t, e.Name)
+			if r.diverged != "" {
+				t.Fatalf("two seed-1 runs diverged:\n%s", r.diverged)
 			}
-			t.Fatalf("no registry entry %q", name)
+			checkGolden(t, e.Name+".json", r.result)
 		})
 	}
 }
