@@ -77,7 +77,8 @@ type Client struct {
 
 	ready  bool
 	hasDir bool
-	timer  *sim.Timer
+	timer  sim.Timer
+	tickFn func() // c.tick, built once for armTick
 	sendQ  []*pendingFrame
 
 	// Wire accounting, split so the cover-traffic property test can
@@ -93,7 +94,7 @@ type Client struct {
 // New creates a mixnet client for the CommVM at commNode over the
 // given cascade (entry first, exit last).
 func New(net *vnet.Network, commNode string, cascade []string, resolver func(string) (string, bool)) *Client {
-	return &Client{
+	c := &Client{
 		net:           net,
 		eng:           net.Engine(),
 		commNode:      commNode,
@@ -102,6 +103,8 @@ func New(net *vnet.Network, commNode string, cascade []string, resolver func(str
 		coverInterval: DefaultCoverInterval,
 		hopDelayMean:  DefaultHopDelayMean,
 	}
+	c.tickFn = c.tick
+	return c
 }
 
 // SetCoverInterval overrides the cover clock (tests compress it).
@@ -189,7 +192,7 @@ func (c *Client) armTick() {
 	if !c.ready {
 		return
 	}
-	c.timer = c.eng.Schedule(c.coverInterval, func() { c.tick() })
+	c.timer = c.eng.Schedule(c.coverInterval, c.tickFn)
 }
 
 // tick transmits exactly one fixed-size packet: the oldest queued
@@ -384,10 +387,7 @@ func (c *Client) ImportState(st anonnet.State) {
 // client, and queued frames fail closed so no Fetch blocks forever.
 func (c *Client) Stop() {
 	c.ready = false
-	if c.timer != nil {
-		c.timer.Cancel()
-		c.timer = nil
-	}
+	c.timer.Cancel()
 	for _, f := range c.sendQ {
 		f.done.Complete(struct{}{}, anonnet.ErrNotReady)
 	}

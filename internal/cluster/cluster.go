@@ -244,7 +244,7 @@ type Cluster struct {
 	// stopped), the round timer, completed round count, provider
 	// tokens currently held, in-flight slot passes, and the slot log.
 	sweepCfg           *SweepConfig
-	sweepTimer         *sim.Timer
+	sweepTimer         sim.Timer
 	sweepRounds        int
 	sweepRoundsSkipped int
 	sweepTokensHeld    int

@@ -133,10 +133,7 @@ func (c *Cluster) StartSweeps(cfg SweepConfig) error {
 // StopSweeps uninstalls the coordinator. Slot passes already in
 // flight complete; no further round is scheduled.
 func (c *Cluster) StopSweeps() {
-	if c.sweepTimer != nil {
-		c.sweepTimer.Cancel()
-		c.sweepTimer = nil
-	}
+	c.sweepTimer.Cancel()
 	c.sweepCfg = nil
 }
 

@@ -84,7 +84,7 @@ type Task struct {
 	remaining  float64
 	rate       float64
 	lastUpdate sim.Time
-	timer      *sim.Timer
+	timer      sim.Timer
 	fut        *sim.Future[TaskResult]
 	started    sim.Time
 	finished   bool
@@ -151,10 +151,7 @@ func (h *Host) recompute() {
 			}
 		}
 		t.lastUpdate = now
-		if t.timer != nil {
-			t.timer.Cancel()
-			t.timer = nil
-		}
+		t.timer.Cancel()
 	}
 	n := len(h.tasks)
 	if n == 0 {
@@ -180,10 +177,7 @@ func (h *Host) finish(t *Task) {
 		return
 	}
 	t.finished = true
-	if t.timer != nil {
-		t.timer.Cancel()
-		t.timer = nil
-	}
+	t.timer.Cancel()
 	for i, other := range h.tasks {
 		if other == t {
 			h.tasks = append(h.tasks[:i], h.tasks[i+1:]...)

@@ -329,7 +329,7 @@ type Orchestrator struct {
 	// while stopped), the armed tick timer, the current possibly
 	// backed-off delay, in-flight pass count, and recorded telemetry.
 	sweepCfg   *SweepConfig
-	sweepTimer *sim.Timer
+	sweepTimer sim.Timer
 	sweepDelay time.Duration
 	sweeping   int
 	sweepRecs  []SweepRecord

@@ -323,10 +323,7 @@ func (o *Orchestrator) StartSweeps(cfg SweepConfig) error {
 // StopSweeps uninstalls the scheduler. A pass already in flight runs
 // to completion (AwaitSweepsIdle waits it out); no further tick fires.
 func (o *Orchestrator) StopSweeps() {
-	if o.sweepTimer != nil {
-		o.sweepTimer.Cancel()
-		o.sweepTimer = nil
-	}
+	o.sweepTimer.Cancel()
 	o.sweepCfg = nil
 }
 

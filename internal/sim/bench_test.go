@@ -11,13 +11,13 @@ const scheduleBatch = 1024
 
 // BenchmarkEngineSchedule measures the event queue alone: one op
 // schedules scheduleBatch timers at scattered times, cancels every
-// other one, and runs the engine dry, so the queue sees pushes, lazy
-// cancellations and pops in heap order.
+// other one, and runs the engine dry, so the queue sees pushes,
+// mid-heap removals and pops in heap order.
 func BenchmarkEngineSchedule(b *testing.B) {
 	b.ReportAllocs()
 	fired := 0
 	fn := func() { fired++ }
-	timers := make([]*Timer, scheduleBatch)
+	timers := make([]Timer, scheduleBatch)
 	for i := 0; i < b.N; i++ {
 		e := NewEngine(1)
 		for j := range timers {

@@ -75,10 +75,42 @@ func TestTimerCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled timer fired")
 	}
-	// Double-cancel and nil-safety.
+	// Double-cancel and the zero Timer are no-ops.
 	tm.Cancel()
-	var nilTimer *Timer
-	nilTimer.Cancel()
+	var zero Timer
+	zero.Cancel()
+	if e.Pending() != 0 || e.Processed() != 0 {
+		t.Fatalf("pending = %d, processed = %d after canceling, want 0, 0", e.Pending(), e.Processed())
+	}
+}
+
+// TestCanceledOrFiredTimerNeverCancelsRecycledEvent checks that a
+// handle outlives its event safely: once the event fired or was
+// canceled, a new schedule reuses it, and the old handle's Cancel must
+// leave the new callback alone.
+func TestCanceledOrFiredTimerNeverCancelsRecycledEvent(t *testing.T) {
+	for _, fire := range []bool{true, false} {
+		e := NewEngine(1)
+		old := e.Schedule(time.Second, func() {})
+		if fire {
+			e.Run()
+		} else {
+			old.Cancel()
+		}
+		fired := false
+		fresh := e.Schedule(time.Second, func() { fired = true })
+		if fresh.ev != old.ev {
+			t.Fatalf("fire=%v: new event did not reuse the released one", fire)
+		}
+		old.Cancel()
+		if e.Pending() != 1 {
+			t.Fatalf("fire=%v: stale Cancel removed the new event (pending = %d)", fire, e.Pending())
+		}
+		e.Run()
+		if !fired {
+			t.Fatalf("fire=%v: stale Cancel suppressed the new callback", fire)
+		}
+	}
 }
 
 func TestStopHaltsRun(t *testing.T) {

@@ -13,7 +13,10 @@ type Proc struct {
 	name   string
 	resume chan struct{}
 	parked chan struct{}
-	dead   bool
+	// wake is p.handoff, built once so Sleep and Await schedule it
+	// without allocating a method value per wake-up.
+	wake func()
+	dead bool
 }
 
 // Engine returns the engine this process runs on.
@@ -38,6 +41,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Future[struct{}] {
 		resume: make(chan struct{}),
 		parked: make(chan struct{}),
 	}
+	p.wake = p.handoff
 	done := NewFuture[struct{}](e)
 	e.Schedule(0, func() {
 		go func() {
@@ -82,14 +86,14 @@ func (p *Proc) Sleep(d Time) {
 	if p.dead {
 		panic("sim: Sleep on dead proc " + p.name)
 	}
-	p.eng.Schedule(d, p.handoff)
+	p.eng.Schedule(d, p.wake)
 	p.yield()
 }
 
 // Await blocks the process until f completes and returns its result.
 func Await[T any](p *Proc, f *Future[T]) (T, error) {
 	if !f.done {
-		f.onDone(p.handoff)
+		f.onDone(p.wake, false)
 		p.yield()
 	}
 	if !f.done {
@@ -117,7 +121,14 @@ type Future[T any] struct {
 	done bool
 	val  T
 	err  error
-	subs []func()
+	subs []subscriber
+}
+
+// subscriber is one completion callback. A deferred one runs as a
+// zero-delay event; the rest run inside Complete.
+type subscriber struct {
+	fn       func()
+	deferred bool
 }
 
 // NewFuture returns an incomplete future bound to e.
@@ -139,8 +150,16 @@ func (f *Future[T]) Complete(val T, err error) {
 	f.err = err
 	subs := f.subs
 	f.subs = nil
-	for _, fn := range subs {
-		fn()
+	for _, sub := range subs {
+		sub.run(f.eng)
+	}
+}
+
+func (s subscriber) run(e *Engine) {
+	if s.deferred {
+		e.Schedule(0, s.fn)
+	} else {
+		s.fn()
 	}
 }
 
@@ -156,20 +175,20 @@ func (f *Future[T]) Value() (T, error) {
 }
 
 // onDone registers fn to run when the future completes (immediately if
-// it already has). Callbacks run synchronously inside Complete, in
-// registration order.
-func (f *Future[T]) onDone(fn func()) {
+// it already has). Complete runs subscribers in registration order:
+// it calls fn directly, or schedules it as a zero-delay event when
+// deferred is set.
+func (f *Future[T]) onDone(fn func(), deferred bool) {
+	sub := subscriber{fn: fn, deferred: deferred}
 	if f.done {
-		fn()
+		sub.run(f.eng)
 		return
 	}
-	f.subs = append(f.subs, fn)
+	f.subs = append(f.subs, sub)
 }
 
 // OnDone schedules fn as a zero-delay event when the future completes.
-func (f *Future[T]) OnDone(fn func()) {
-	f.onDone(func() { f.eng.Schedule(0, fn) })
-}
+func (f *Future[T]) OnDone(fn func()) { f.onDone(fn, true) }
 
 // Broadcast is a reusable wake-all condition: waiters take a Future
 // (or Park), and Notify completes every outstanding one. It is the

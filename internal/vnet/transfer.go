@@ -42,7 +42,7 @@ type Transfer struct {
 	delivered  float64 // wire bytes settled so far (feeds the detach ledger)
 	rate       float64
 	lastUpdate sim.Time
-	timer      *sim.Timer
+	timer      sim.Timer
 	onETA      func() // finishes the flow; built once, rescheduled by every recompute
 	fut        *sim.Future[Result]
 	started    sim.Time
@@ -258,10 +258,7 @@ func (n *Network) recompute() {
 	// Settle progress at the old rates.
 	for _, t := range n.transfers {
 		t.settle(now)
-		if t.timer != nil {
-			t.timer.Cancel()
-			t.timer = nil
-		}
+		t.timer.Cancel()
 		t.rate = 0
 	}
 	// Progressive filling (max-min fairness). Only the residual and
@@ -405,10 +402,7 @@ func (t *Transfer) fail(err error) {
 func (t *Transfer) detach() {
 	t.finished = true
 	t.active = false
-	if t.timer != nil {
-		t.timer.Cancel()
-		t.timer = nil
-	}
+	t.timer.Cancel()
 	for _, h := range t.hops {
 		h.link.ledger[h.dir] += t.delivered
 	}
