@@ -70,6 +70,7 @@ type Client struct {
 	eng      *sim.Engine
 	commNode string
 	cascade  []string // entry, middle(s), exit
+	back     []string // the hops before the exit, reversed: the Via of return frames
 	resolver func(string) (string, bool)
 
 	coverInterval time.Duration
@@ -98,13 +99,22 @@ func New(net *vnet.Network, commNode string, cascade []string, resolver func(str
 		net:           net,
 		eng:           net.Engine(),
 		commNode:      commNode,
-		cascade:       append([]string(nil), cascade...),
 		resolver:      resolver,
 		coverInterval: DefaultCoverInterval,
 		hopDelayMean:  DefaultHopDelayMean,
 	}
 	c.tickFn = c.tick
+	c.setCascade(append([]string(nil), cascade...))
 	return c
+}
+
+// setCascade installs cascade and its return-path Via.
+func (c *Client) setCascade(cascade []string) {
+	c.cascade = cascade
+	c.back = nil
+	for i := len(cascade) - 2; i >= 0; i-- {
+		c.back = append(c.back, cascade[i])
+	}
 }
 
 // SetCoverInterval overrides the cover clock (tests compress it).
@@ -323,7 +333,7 @@ func (c *Client) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, e
 // client through the reverse cascade, charging the return mix delays.
 func (c *Client) receiveFrames(p *sim.Proc, n int64) error {
 	fut := c.net.StartTransfer(vnet.TransferOpts{
-		From: c.exit(), To: c.commNode, Via: reverse(c.mids()),
+		From: c.exit(), To: c.commNode, Via: c.back,
 		Bytes: n * PacketSize, Proto: Proto, NoHandshake: true,
 	})
 	if _, err := sim.Await(p, fut); err != nil {
@@ -376,7 +386,7 @@ func (c *Client) ExportState() anonnet.State {
 // ImportState implements anonnet.Transport.
 func (c *Client) ImportState(st anonnet.State) {
 	if cs := st["cascade"]; cs != "" {
-		c.cascade = strings.Split(cs, ",")
+		c.setCascade(strings.Split(cs, ","))
 	}
 	if st["directory"] == "cached" {
 		c.hasDir = true
@@ -399,14 +409,6 @@ func maxI64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-func reverse(s []string) []string {
-	out := make([]string, len(s))
-	for i, v := range s {
-		out[len(s)-1-i] = v
-	}
-	return out
 }
 
 var _ anonnet.Transport = (*Client)(nil)

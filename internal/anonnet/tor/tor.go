@@ -73,6 +73,7 @@ type Client struct {
 
 	guard     string
 	circuit   []string // guard, middle, exit
+	back      []string // circuit reversed: the Via of return-path transfers
 	hasDir    bool
 	guardSeed string // deterministic guard derivation (section 3.5)
 	wireProto string // protocol label a wire observer sees ("tor", or a camouflage)
@@ -203,6 +204,7 @@ func (c *Client) buildCircuit(p *sim.Proc) error {
 		return err
 	}
 	c.circuit = []string{c.guard, middle, exit}
+	c.back = []string{exit, middle, c.guard}
 	// Telescoping: each extend costs a round trip over the
 	// progressively longer partial circuit plus handshake crypto.
 	for i := 1; i <= circuitHops; i++ {
@@ -281,7 +283,7 @@ func (c *Client) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, e
 	}
 	if req.RecvBytes > 0 {
 		down := c.net.StartTransfer(vnet.TransferOpts{
-			From: req.SiteNode, To: c.commNode, Via: reverse(c.circuit),
+			From: req.SiteNode, To: c.commNode, Via: c.back,
 			Bytes: req.RecvBytes, Proto: c.wireProto, Overhead: c.OverheadFrac(),
 			NoHandshake: true, // response rides the established stream
 		})
@@ -350,15 +352,7 @@ func (c *Client) ImportState(st anonnet.State) {
 // Stop implements anonnet.Anonymizer.
 func (c *Client) Stop() {
 	c.ready = false
-	c.circuit = nil
-}
-
-func reverse(s []string) []string {
-	out := make([]string, len(s))
-	for i, v := range s {
-		out[len(s)-1-i] = v
-	}
-	return out
+	c.circuit, c.back = nil, nil
 }
 
 var _ anonnet.Anonymizer = (*Client)(nil)

@@ -402,3 +402,35 @@ func TestNormFloat64Moments(t *testing.T) {
 		t.Fatalf("variance = %v, want ~1", variance)
 	}
 }
+
+// TestWarmEngineAllocs pins the kernel's steady state: once an engine's
+// free list and queue have grown, scheduling an event and firing it,
+// scheduling one and canceling it, and one Proc.Sleep allocate nothing.
+func TestWarmEngineAllocs(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	if n := testing.AllocsPerRun(100, func() { e.Schedule(time.Millisecond, fn); e.Run() }); n != 0 {
+		t.Errorf("schedule and fire: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.Schedule(time.Millisecond, fn).Cancel() }); n != 0 {
+		t.Errorf("schedule and cancel: %v allocs, want 0", n)
+	}
+
+	e = NewEngine(1)
+	stop := false
+	e.Go("sleeper", func(p *Proc) {
+		for !stop {
+			p.Sleep(time.Millisecond)
+		}
+	})
+	e.RunUntil(0)
+	// Each run fires the sleeper's pending wake-up, and it sleeps again.
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + time.Millisecond) }); n != 0 {
+		t.Errorf("Proc.Sleep: %v allocs, want 0", n)
+	}
+	stop = true
+	e.Run()
+	if e.Pending() != 0 {
+		t.Fatalf("%d events left after the sleeper exited", e.Pending())
+	}
+}

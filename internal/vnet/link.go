@@ -48,7 +48,7 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	n.links = append(n.links, l)
 	n.residual = append(n.residual, 0)
 	n.count = append(n.count, 0)
-	clear(n.routes)
+	n.invalidateRoutes()
 	return l
 }
 
@@ -115,7 +115,7 @@ func (l *Link) rxNIC(dir int) *NIC {
 func (l *Link) SetDown(n *Network, down bool) {
 	l.down[dirAB] = down
 	l.down[dirBA] = down
-	clear(n.routes)
+	n.invalidateRoutes()
 	if !down {
 		return
 	}
@@ -129,7 +129,7 @@ func (l *Link) SetDown(n *Network, down bool) {
 func (l *Link) SetDownOneWay(n *Network, from *Node, down bool) {
 	dir := l.dirFrom(from)
 	l.down[dir] = down
-	clear(n.routes)
+	n.invalidateRoutes()
 	if !down {
 		return
 	}
@@ -169,11 +169,11 @@ func (l *Link) SetDPI(n *Network, e *DPIEngine) {
 	n.failActive(l, func(t *Transfer) bool {
 		h := t.hopOn(l)
 		ruling := e.inspect(Flow{
-			Src:         t.opts.From,
+			Src:         t.from,
 			ObservedSrc: h.observedSrc,
-			Dst:         t.opts.To,
-			Proto:       t.opts.Proto,
-			Bytes:       t.opts.Bytes,
+			Dst:         t.to,
+			Proto:       t.proto,
+			Bytes:       t.bytes,
 		})
 		return ruling.Verdict == Drop
 	}, ErrCensored)

@@ -23,13 +23,19 @@ type Network struct {
 	nextID    int64
 	severed   map[regionPair]bool
 	faultLog  []AppliedFault
-	// routes memoizes segments. Every mutator that can change a route
-	// clears it: Connect, SetDown, SetDownOneWay, SeverRegions,
+	// Two route memos. routes holds segments by (src, dst, proto),
+	// with the sentinel error of a failed BFS. wholeRoutes holds the
+	// successful routes of transfers, keyed by From, Via, To and Proto
+	// as length-prefixed names; routeKey is its reused key buffer.
+	// Every mutator that can change a route clears both through
+	// invalidateRoutes: Connect, SetDown, SetDownOneWay, SeverRegions,
 	// SeverRegionsOneWay and HealRegions on the fabric, and
 	// SetForwarding, SetPolicy, SetMasquerade, SetRegion and AddTag on
 	// a node. Link loss and DPI are read live from the hops at
 	// admission, so they need no clear.
-	routes map[segKey]segRoute
+	routes      map[segKey]segRoute
+	wholeRoutes map[string]route
+	routeKey    []byte
 	// bfs scratch, reused across calls.
 	bfsPrev  map[*Node]*NIC
 	bfsQueue []bfsVisit
@@ -43,11 +49,12 @@ type Network struct {
 // New returns an empty network on eng.
 func New(eng *sim.Engine) *Network {
 	return &Network{
-		eng:     eng,
-		nodes:   make(map[string]*Node),
-		severed: make(map[regionPair]bool),
-		routes:  make(map[segKey]segRoute),
-		bfsPrev: make(map[*Node]*NIC),
+		eng:         eng,
+		nodes:       make(map[string]*Node),
+		severed:     make(map[regionPair]bool),
+		routes:      make(map[segKey]segRoute),
+		wholeRoutes: make(map[string]route),
+		bfsPrev:     make(map[*Node]*NIC),
 	}
 }
 
@@ -110,7 +117,7 @@ func (nd *Node) AddTag(tag string) *Node {
 		nd.tags = make(map[string]bool)
 	}
 	nd.tags[tag] = true
-	clear(nd.net.routes)
+	nd.net.invalidateRoutes()
 	return nd
 }
 
@@ -120,7 +127,7 @@ func (nd *Node) HasTag(tag string) bool { return nd.tags[tag] }
 // SetForwarding enables or disables transit through this node.
 func (nd *Node) SetForwarding(on bool) *Node {
 	nd.noTrans = !on
-	clear(nd.net.routes)
+	nd.net.invalidateRoutes()
 	return nd
 }
 
@@ -128,7 +135,7 @@ func (nd *Node) SetForwarding(on bool) *Node {
 func (nd *Node) SetPolicy(p ForwardPolicy) *Node {
 	nd.policy = p
 	nd.noTrans = false
-	clear(nd.net.routes)
+	nd.net.invalidateRoutes()
 	return nd
 }
 
@@ -137,7 +144,7 @@ func (nd *Node) SetPolicy(p ForwardPolicy) *Node {
 // KVM user-mode NAT in the paper's prototype.
 func (nd *Node) SetMasquerade(on bool) *Node {
 	nd.masq = on
-	clear(nd.net.routes)
+	nd.net.invalidateRoutes()
 	return nd
 }
 
@@ -147,7 +154,7 @@ func (nd *Node) SetMasquerade(on bool) *Node {
 // no region and never match a sever.
 func (nd *Node) SetRegion(region string) *Node {
 	nd.region = region
-	clear(nd.net.routes)
+	nd.net.invalidateRoutes()
 	return nd
 }
 

@@ -1,7 +1,9 @@
 package vnet
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -21,18 +23,101 @@ type segKey struct {
 
 // segRoute is a memoized segment: its hops with observedSrc already
 // applied, or the sentinel error (ErrNoRoute or ErrPartitioned) its
-// BFS ended with. The hops slice is shared by every lookup and must
-// never be handed out or modified.
+// BFS ended with. The hops slice is shared by every lookup and every
+// route built on it, so it must never be modified.
 type segRoute struct {
 	hops []hop
 	err  error
 }
 
-// route finds a policy-respecting path along points: the source,
+// route is a memoized whole route: the chain's points, the hops of
+// its segments joined in order, the distinct finite links they cross,
+// and their summed latency (link latency is fixed at Connect). Its
+// slices are shared by the memo and every transfer on the route, so
+// nothing may write through them.
+type route struct {
+	points  []*Node
+	hops    []hop
+	finite  []*Link
+	latency time.Duration
+}
+
+// resolve returns the route for a transfer's From, Via, To and Proto
+// from the whole-route memo, building it on a miss. A failure also
+// returns how long it takes to surface: at once for an unknown
+// endpoint or waypoint, after a 3 s probe timeout when no path
+// exists. Failures are not stored; the segment memo keeps their
+// sentinel errors.
+func (n *Network) resolve(opts *TransferOpts) (route, time.Duration, error) {
+	key := appendName(n.routeKey[:0], opts.From)
+	for _, name := range opts.Via {
+		key = appendName(key, name)
+	}
+	key = appendName(appendName(key, opts.To), opts.Proto)
+	n.routeKey = key
+	if r, ok := n.wholeRoutes[string(key)]; ok {
+		return r, 0, nil
+	}
+	src, dst := n.nodes[opts.From], n.nodes[opts.To]
+	if src == nil || dst == nil {
+		return route{}, 0, fmt.Errorf("%w: unknown endpoint", ErrNoRoute)
+	}
+	points, err := n.chain(src, dst, opts.Via)
+	if err != nil {
+		return route{}, 0, err
+	}
+	hops, err := n.join(points, opts.Proto)
+	if err != nil {
+		// Silent drop: the failure surfaces only after a probe timeout.
+		return route{}, 3 * time.Second, err
+	}
+	r := route{points: points, hops: hops, finite: finiteLinks(hops), latency: latency(hops)}
+	n.wholeRoutes[string(key)] = r
+	return r, 0, nil
+}
+
+// appendName appends name to a route key, prefixed with its length so
+// that no two name sequences share a key.
+func appendName(key []byte, name string) []byte {
+	return append(binary.AppendUvarint(key, uint64(len(name))), name...)
+}
+
+// finiteLinks lists the distinct finite-capacity links of hops in
+// first-crossing order, in an exactly sized slice: the links a flow's
+// rate allocation draws on.
+func finiteLinks(hops []hop) []*Link {
+	var buf [16]*Link
+	out := buf[:0]
+	for _, h := range hops {
+		if h.link.cfg.Capacity > 0 && !slices.Contains(out, h.link) {
+			out = append(out, h.link)
+		}
+	}
+	return append([]*Link(nil), out...)
+}
+
+// latency sums the one-way latency of hops.
+func latency(hops []hop) time.Duration {
+	var total time.Duration
+	for _, h := range hops {
+		total += h.link.cfg.Latency
+	}
+	return total
+}
+
+// invalidateRoutes clears both route memos. Every mutator that can
+// change a route calls it (see Network.routes).
+func (n *Network) invalidateRoutes() {
+	clear(n.routes)
+	clear(n.wholeRoutes)
+}
+
+// join finds a policy-respecting path along points: the source,
 // each waypoint, then the destination. Each waypoint acts as a proxy
 // terminating and re-originating the flow, like a Tor relay. It
-// returns the hops in order, in a fresh slice the caller owns.
-func (n *Network) route(points []*Node, proto string) ([]hop, error) {
+// returns the hops in order; a one-segment route shares the segment
+// memo's slice, so callers must not modify it.
+func (n *Network) join(points []*Node, proto string) ([]hop, error) {
 	var buf [4][]hop
 	segs := buf[:0]
 	total := 0
@@ -46,6 +131,9 @@ func (n *Network) route(points []*Node, proto string) ([]hop, error) {
 	}
 	if total == 0 {
 		return nil, nil
+	}
+	if len(segs) == 1 {
+		return segs[0], nil
 	}
 	hops := make([]hop, 0, total)
 	for _, seg := range segs {
@@ -181,15 +269,11 @@ func (n *Network) PathLatency(src, dst string, via ...string) (time.Duration, er
 	if err != nil {
 		return 0, err
 	}
-	hops, err := n.route(points, "probe")
+	hops, err := n.join(points, "probe")
 	if err != nil {
 		return 0, err
 	}
-	var total time.Duration
-	for _, h := range hops {
-		total += h.link.cfg.Latency
-	}
-	return total, nil
+	return latency(hops), nil
 }
 
 // chain resolves a route's node chain: src, each named waypoint in

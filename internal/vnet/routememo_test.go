@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"nymix/internal/sim"
 )
@@ -108,8 +109,9 @@ func (s *byteStream) empty() bool { return len(s.b) == 0 }
 // hosts and a NAT node whose policy reads a link set, then interleaves
 // every route-visible mutator with lookups. The link set changes only
 // right after Connect or SetDown, as the hypervisor's does. After each
-// lookup the memoized route must equal refRoute on hops (observedSrc
-// included) and on the error.
+// lookup the memoized whole route must equal refRoute (see
+// checkRoute). One host is named "h0\x00h1", so its routes share a key
+// with h0's routes via h1 unless the key is length-prefixed.
 func routeMemoScenario(data []byte) error {
 	in := &byteStream{b: data}
 	n := New(sim.NewEngine(1))
@@ -133,9 +135,17 @@ func routeMemoScenario(data []byte) error {
 		}
 		nodes = append(nodes, h)
 	}
+	h0, h1 := n.Node("h0"), n.Node("h1")
+	nodes = append(nodes, n.AddNode("h0\x00h1"))
 	node := func() *Node { return nodes[in.next(len(nodes))] }
 	connect := func(a, b *Node) {
-		l := n.Connect(a, b, LinkConfig{Capacity: 1e6})
+		// Every other link is uncapped, so finite-link lists skip
+		// some hops, and latencies differ, so their sums are checked.
+		k := len(n.links)
+		l := n.Connect(a, b, LinkConfig{
+			Latency:  time.Duration(1+k%3) * time.Millisecond,
+			Capacity: float64(k%2) * 1e6,
+		})
 		if a == nat || b == nat {
 			allowed[l] = true
 		}
@@ -196,9 +206,12 @@ func routeMemoScenario(data []byte) error {
 			link().SetLoss(float64(in.next(5)) / 10)
 		default:
 			// Sweep every ordered pair, so a memo entry that a
-			// mutator should have cleared is looked up again.
+			// mutator should have cleared is looked up again, then
+			// chains with one and two waypoints, then h0 via h1 after
+			// "h0\x00h1" has stored its routes.
 			proto := protos[in.next(len(protos))]
 			via := []*Node{node()}
+			via2 := []*Node{node(), node()}
 			for _, src := range nodes {
 				for _, dst := range nodes {
 					if err := checkRoute(n, src, dst, nil, proto); err != nil {
@@ -208,20 +221,50 @@ func routeMemoScenario(data []byte) error {
 				if err := checkRoute(n, src, node(), via, proto); err != nil {
 					return fmt.Errorf("step %d: %v", step, err)
 				}
+				if err := checkRoute(n, src, node(), via2, proto); err != nil {
+					return fmt.Errorf("step %d: %v", step, err)
+				}
+			}
+			for _, dst := range nodes {
+				if err := checkRoute(n, h0, dst, []*Node{h1}, proto); err != nil {
+					return fmt.Errorf("step %d: %v", step, err)
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// checkRoute compares the memoized route with refRoute, and CanReach
-// with a fresh BFS.
+// checkRoute resolves a transfer's route through the whole-route memo
+// and compares it with refRoute: points, hops (observedSrc included),
+// distinct finite links, latency, the error and its delay. It also
+// compares CanReach with a fresh BFS.
 func checkRoute(n *Network, src, dst *Node, via []*Node, proto string) error {
-	got, gotErr := n.route(append(append([]*Node{src}, via...), dst), proto)
+	opts := TransferOpts{From: src.name, To: dst.name, Proto: proto}
+	for _, v := range via {
+		opts.Via = append(opts.Via, v.name)
+	}
+	got, delay, gotErr := n.resolve(&opts)
 	want, wantErr := refRoute(n, src, dst, via, proto)
-	if !slices.Equal(got, want) || !sameErr(gotErr, wantErr) {
-		return fmt.Errorf("route %s->%s via %d (%s): memo %v, %v; fresh %v, %v",
-			src.name, dst.name, len(via), proto, got, gotErr, want, wantErr)
+	var wantPoints []*Node
+	var wantFinite []*Link
+	var wantLatency, wantDelay time.Duration
+	if wantErr == nil {
+		wantPoints = append(append([]*Node{src}, via...), dst)
+		for _, h := range want {
+			if h.link.cfg.Capacity > 0 && !slices.Contains(wantFinite, h.link) {
+				wantFinite = append(wantFinite, h.link)
+			}
+			wantLatency += h.link.cfg.Latency
+		}
+	} else {
+		wantDelay = 3 * time.Second
+	}
+	if !sameErr(gotErr, wantErr) || delay != wantDelay || !slices.Equal(got.hops, want) ||
+		!slices.Equal(got.points, wantPoints) || !slices.Equal(got.finite, wantFinite) ||
+		got.latency != wantLatency {
+		return fmt.Errorf("route %q->%q via %d (%s): memo %v, %v after %v; fresh %v, %v",
+			src.name, dst.name, len(via), proto, got, gotErr, delay, want, wantErr)
 	}
 	_, segErr := refSegment(n, src, dst, proto)
 	if reach := n.CanReach(src.name, dst.name, proto); reach != (segErr == nil) {

@@ -49,7 +49,7 @@ func (n *Network) SeverRegionsOneWay(from, to string) {
 func (n *Network) HealRegions(a, b string) {
 	delete(n.severed, regionPair{a, b})
 	delete(n.severed, regionPair{b, a})
-	clear(n.routes)
+	n.invalidateRoutes()
 }
 
 // RegionSevered reports whether the from→to direction of the boundary
@@ -63,7 +63,7 @@ func (n *Network) severOne(from, to string) {
 		return
 	}
 	n.severed[regionPair{from, to}] = true
-	clear(n.routes)
+	n.invalidateRoutes()
 	// Fail the in-flight flows the new sever cuts, in id order.
 	var victims []*Transfer
 	for _, t := range n.transfers {

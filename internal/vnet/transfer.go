@@ -2,7 +2,6 @@ package vnet
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"nymix/internal/sim"
@@ -32,22 +31,52 @@ type TransferOpts struct {
 
 // Transfer is an in-flight fluid flow.
 type Transfer struct {
-	id         int64
-	net        *Network
-	opts       TransferOpts
+	id  int64
+	net *Network
+	// The TransferOpts fields a flow reads after admission; maxRate
+	// already holds any DPI throttle.
+	from, to   string
+	proto      string
+	bytes      int64
+	maxRate    float64
 	hops       []hop
-	finite     []*Link // distinct finite-capacity links of hops, in first-crossing order
-	points     []*Node // source, Via waypoints, destination: the proxy segments' ends
+	finite     []*Link       // distinct finite-capacity links of hops, in first-crossing order
+	points     []*Node       // source, Via waypoints, destination: the proxy segments' ends
+	latency    time.Duration // one-way latency of hops: the handshake's half and the tail
 	remaining  float64
 	delivered  float64 // wire bytes settled so far (feeds the detach ledger)
 	rate       float64
 	lastUpdate sim.Time
 	timer      sim.Timer
-	onETA      func() // finishes the flow; built once, rescheduled by every recompute
+	step       func() // t.advance, built once: every event the transfer schedules runs it
 	fut        *sim.Future[Result]
 	started    sim.Time
-	active     bool
-	finished   bool
+	ended      sim.Time // when the last byte reaches the receiver
+	phase      phase
+}
+
+// phase is where a transfer is in its life. Every event a transfer
+// schedules runs its step callback, which acts on the phase.
+type phase uint8
+
+const (
+	handshaking phase = iota // connection setup; step activates the flow
+	flowing                  // in the rate allocation; step finishes it at its ETA
+	delivering               // last byte in flight; step completes the future
+	done                     // completed or failed; step does nothing
+)
+
+// advance is every transfer's step callback.
+func (t *Transfer) advance() {
+	switch t.phase {
+	case handshaking:
+		t.net.activate(t)
+	case flowing:
+		t.net.finish(t)
+	case delivering:
+		t.phase = done
+		t.fut.Complete(Result{Bytes: t.bytes, Started: t.started, Ended: t.ended}, nil)
+	}
 }
 
 // crossesDir reports whether the flow's path crosses l in direction
@@ -75,20 +104,9 @@ func (t *Transfer) hopOn(l *Link) *hop {
 // the last byte is delivered (or the flow fails).
 func (n *Network) StartTransfer(opts TransferOpts) *sim.Future[Result] {
 	fut := sim.NewFuture[Result](n.eng)
-	src, dst := n.nodes[opts.From], n.nodes[opts.To]
-	if src == nil || dst == nil {
-		n.eng.Schedule(0, func() { fut.Complete(Result{}, fmt.Errorf("%w: unknown endpoint", ErrNoRoute)) })
-		return fut
-	}
-	points, err := n.chain(src, dst, opts.Via)
+	r, delay, err := n.resolve(&opts)
 	if err != nil {
-		n.eng.Schedule(0, func() { fut.Complete(Result{}, err) })
-		return fut
-	}
-	hops, err := n.route(points, opts.Proto)
-	if err != nil {
-		// Silent drop: the failure surfaces only after a probe timeout.
-		n.eng.Schedule(3*time.Second, func() { fut.Complete(Result{}, err) })
+		n.eng.Schedule(delay, func() { fut.Complete(Result{}, err) })
 		return fut
 	}
 	if opts.MaxRate <= 0 {
@@ -97,7 +115,7 @@ func (n *Network) StartTransfer(opts TransferOpts) *sim.Future[Result] {
 	// DPI admission: every engine on the path inspects the flow. A
 	// drop behaves like the silent drop of a censoring middlebox; a
 	// throttle caps the flow's rate below its own ceiling.
-	for _, h := range hops {
+	for _, h := range r.hops {
 		e := h.link.dpi
 		if e == nil {
 			continue
@@ -129,7 +147,7 @@ func (n *Network) StartTransfer(opts TransferOpts) *sim.Future[Result] {
 	// Lossy hops inflate the wire volume: every crossing of a hop with
 	// loss p must carry 1/(1-p) times the bytes to deliver the payload
 	// (end-to-end retransmission in the fluid model).
-	for _, h := range hops {
+	for _, h := range r.hops {
 		if p := h.link.loss[h.dir]; p > 0 {
 			wire /= 1 - p
 		}
@@ -137,68 +155,55 @@ func (n *Network) StartTransfer(opts TransferOpts) *sim.Future[Result] {
 	t := &Transfer{
 		id:        n.nextID,
 		net:       n,
-		opts:      opts,
-		hops:      hops,
-		finite:    finiteLinks(hops),
-		points:    points,
+		from:      opts.From,
+		to:        opts.To,
+		proto:     opts.Proto,
+		bytes:     opts.Bytes,
+		maxRate:   opts.MaxRate,
+		hops:      r.hops,
+		finite:    r.finite,
+		points:    r.points,
+		latency:   r.latency,
 		remaining: wire,
 		fut:       fut,
 		started:   n.eng.Now(),
 	}
-	t.onETA = func() { n.finish(t) }
+	t.step = t.advance
 	n.nextID++
-	var setup time.Duration
-	for _, h := range hops {
-		setup += h.link.cfg.Latency
-	}
+	setup := r.latency
 	if !opts.NoHandshake {
 		setup *= 2 // connection setup costs a full round trip first
 	}
-	n.eng.Schedule(setup, func() { n.activate(t) })
+	n.eng.Schedule(setup, t.step)
 	return fut
 }
 
-// finiteLinks lists the distinct finite-capacity links of hops in
-// first-crossing order: the links a flow's rate allocation draws on.
-func finiteLinks(hops []hop) []*Link {
-	out := make([]*Link, 0, len(hops))
-	for _, h := range hops {
-		if h.link.cfg.Capacity > 0 && !slices.Contains(out, h.link) {
-			out = append(out, h.link)
-		}
-	}
-	return out
-}
-
 func (n *Network) activate(t *Transfer) {
-	if t.finished {
-		return
-	}
 	// The fabric may have changed during the handshake window: a
 	// direction gone down or a region severed kills the flow before
 	// any byte moves.
 	for _, h := range t.hops {
 		if h.link.down[h.dir] {
-			t.finished = true
+			t.phase = done
 			t.fut.Complete(Result{Started: t.started, Ended: n.eng.Now()}, ErrLinkDown)
 			return
 		}
 	}
 	if n.partitionBlocked(t) {
-		t.finished = true
+		t.phase = done
 		t.fut.Complete(Result{Started: t.started, Ended: n.eng.Now()}, ErrPartitioned)
 		return
 	}
-	t.active = true
+	t.phase = flowing
 	t.lastUpdate = n.eng.Now()
 	for _, h := range t.hops {
 		for _, c := range h.link.captures {
 			c.Entries = append(c.Entries, CaptureEntry{
 				Time:        n.eng.Now(),
 				ObservedSrc: h.observedSrc,
-				Dst:         t.opts.To,
-				Proto:       t.opts.Proto,
-				Bytes:       t.opts.Bytes,
+				Dst:         t.to,
+				Proto:       t.proto,
+				Bytes:       t.bytes,
 			})
 		}
 	}
@@ -296,7 +301,7 @@ func (n *Network) recompute() {
 		}
 		for i, t := range n.transfers {
 			if unfrozen[i] {
-				head := t.opts.MaxRate - t.rate
+				head := t.maxRate - t.rate
 				if delta < 0 || head < delta {
 					delta = head
 				}
@@ -342,14 +347,14 @@ func (n *Network) recompute() {
 		if eta < 0 {
 			eta = 0
 		}
-		t.timer = n.eng.Schedule(eta, t.onETA)
+		t.timer = n.eng.Schedule(eta, t.step)
 	}
 }
 
 // saturated reports whether the flow has reached its rate cap or
 // crosses a link with no residual capacity left.
 func (t *Transfer) saturated(residual []float64) bool {
-	if t.rate >= t.opts.MaxRate-1e-9 {
+	if t.rate >= t.maxRate-1e-9 {
 		return true
 	}
 	for _, l := range t.finite {
@@ -361,9 +366,6 @@ func (t *Transfer) saturated(residual []float64) bool {
 }
 
 func (n *Network) finish(t *Transfer) {
-	if t.finished {
-		return
-	}
 	t.settle(n.eng.Now())
 	// Book any float dust so taps, ledger, and the wire volume agree
 	// to the byte.
@@ -373,25 +375,20 @@ func (n *Network) finish(t *Transfer) {
 	t.remaining = 0
 	t.detach()
 	// Last byte still needs to propagate to the receiver.
-	var tail time.Duration
-	for _, h := range t.hops {
-		tail += h.link.cfg.Latency
-	}
-	end := n.eng.Now() + tail
-	n.eng.Schedule(tail, func() {
-		t.fut.Complete(Result{Bytes: t.opts.Bytes, Started: t.started, Ended: end}, nil)
-	})
+	t.phase = delivering
+	t.ended = n.eng.Now() + t.latency
+	n.eng.Schedule(t.latency, t.step)
 	n.recompute()
 }
 
+// fail ends an active flow with err.
 func (t *Transfer) fail(err error) {
-	if t.finished {
+	if t.phase != flowing {
 		return
 	}
-	if t.active {
-		t.settle(t.net.eng.Now())
-	}
+	t.settle(t.net.eng.Now())
 	t.detach()
+	t.phase = done
 	t.fut.Complete(Result{Started: t.started, Ended: t.net.eng.Now()}, err)
 	t.net.recompute()
 }
@@ -400,8 +397,6 @@ func (t *Transfer) fail(err error) {
 // its settled bytes into each crossed link's ledger (the double-entry
 // side of the tap accounting).
 func (t *Transfer) detach() {
-	t.finished = true
-	t.active = false
 	t.timer.Cancel()
 	for _, h := range t.hops {
 		h.link.ledger[h.dir] += t.delivered
