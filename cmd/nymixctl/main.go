@@ -516,7 +516,7 @@ func sweepsDemo(seed uint64, n int) error {
 					m.Name(), d.RAMPages, float64(d.DiskBytes)/(1<<10))
 			}
 			p.Sleep(interval)
-			recs := o.SweepReport().Records
+			recs := o.SweepRecords()
 			if len(recs) > 0 {
 				r := recs[len(recs)-1]
 				say("sweep %d: %d eligible, %d saved, %d skipped clean (ratio %.2f), %.2f MB wire",

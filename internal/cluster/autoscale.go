@@ -409,7 +409,7 @@ func (c *Cluster) preemptPass(p *sim.Proc) {
 		if h == nil {
 			return
 		}
-		if h.orch.PreemptOne(p, head.pri) == 0 {
+		if h.orch.PreemptOne(p, head.pri, c.cfg.VaultPassword, c.memberDest) == 0 {
 			return
 		}
 		c.dispatch()

@@ -56,10 +56,11 @@ type Config struct {
 	// System work while a new host is still provisioning. Zero leaves
 	// preemption off.
 	PreemptDwell time.Duration
-	// VaultPassword seals migration checkpoints (default "cluster-pw").
+	// VaultPassword seals migration, sweep and preemption-eviction
+	// checkpoints (default "cluster-pw").
 	VaultPassword string
-	// DestFor maps a nym name to its vault destination (default: one
-	// pseudonymous dropbin account per nym).
+	// DestFor maps a nym name to its vault destination for the same
+	// saves (default: one pseudonymous dropbin account per nym).
 	DestFor func(name string) core.VaultDest
 	// RegionFor maps a host index to a hosting region. When set, each
 	// host uplinks to its region's gateway router
@@ -303,17 +304,7 @@ func (c *Cluster) addHost() (*Host, error) {
 	if err != nil {
 		return nil, err
 	}
-	fcfg := c.cfg.Fleet
-	// Wire the orchestrator's eviction channel to the cluster's vault
-	// settings, so cluster-driven preemption can vault persistent
-	// victims even when the caller configured nothing fleet-side.
-	if fcfg.Preempt.VaultPassword == "" {
-		fcfg.Preempt.VaultPassword = c.cfg.VaultPassword
-	}
-	if fcfg.Preempt.DestFor == nil {
-		fcfg.Preempt.DestFor = c.memberDest
-	}
-	h := &Host{name: hostCfg.Name, mgr: mgr, orch: fleet.New(mgr, fcfg)}
+	h := &Host{name: hostCfg.Name, mgr: mgr, orch: fleet.New(mgr, c.cfg.Fleet)}
 	c.hostSeq++
 	c.hosts = append(c.hosts, h)
 	c.watchHost(h)

@@ -57,9 +57,11 @@
 //     also carry batched rebalance moves and prune dead vault chunks.
 //     Hosts out of Active duty are paused — the drain path
 //     checkpoints their nyms itself — and a per-slot log plus
-//     ClusterSweepReport (the summed fleet.SweepTally, the staleness
-//     Spread and the idle-slot economy) surface the sweep economy
-//     pool-wide.
+//     ClusterSweepReport (fleet.FoldSweeps over the non-paused slot
+//     records, plus rounds, coordinator errors and the idle-slot
+//     economy) surface the sweep economy pool-wide. The report covers
+//     exactly the slot passes: a host's own SaveSweep or SweepOnce
+//     outside the coordinator is not in it.
 //
 // The daemons' dwells, watermarks and budgets are package constants
 // set to the values every caller runs; Config carries only the four

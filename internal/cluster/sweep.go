@@ -88,22 +88,20 @@ type SweepSlot struct {
 // ClusterSweepReport aggregates coordinator telemetry across rounds
 // and hosts.
 type ClusterSweepReport struct {
+	// SweepReport folds the host passes the coordinator ran (paused
+	// slots excluded): their summed tally, latency and per-save
+	// staleness, pooled so each save weighs equally.
+	fleet.SweepReport
 	Rounds int
 	// RoundsSkipped counts ticks the coordinator sat out because the
 	// previous round's slots were still draining through the token
 	// gate — sustained skipping means the interval is shorter than
 	// the pool's serialized sweep time.
 	RoundsSkipped int
-	// SweepTally sums the host passes the coordinator ran.
-	fleet.SweepTally
 	// CoordinatorErrors counts the failures the coordinator itself
 	// logged outside host passes: batched rebalance moves and idle-slot
 	// GC. Failed saves are in Errors.
 	CoordinatorErrors int
-	// Staleness summarizes per-save checkpoint staleness, pooled across
-	// every host's samples so each save weighs equally (not an average
-	// of per-host quantiles).
-	Staleness fleet.Spread
 	// Idle-slot economy: slots with nothing dirty, the batched
 	// rebalance moves and opportunistic GC they absorbed, and what
 	// the GC paid (wire) and recovered (provider bytes).
@@ -161,16 +159,17 @@ func (c *Cluster) SweepReport() ClusterSweepReport {
 	rep := ClusterSweepReport{
 		Rounds:        c.sweepRounds,
 		RoundsSkipped: c.sweepRoundsSkipped,
+		MovesPlanned:  c.movesPlanned,
+		// Each slot whose pass failed logged exactly one wrapped error;
+		// the rest of the log is the coordinator's own.
+		CoordinatorErrors: len(c.sweepErrs),
 	}
-	rep.MovesPlanned = c.movesPlanned
-	// Each slot whose pass failed logged exactly one wrapped error; the
-	// rest of the log is the coordinator's own.
-	rep.CoordinatorErrors = len(c.sweepErrs)
+	var recs []fleet.SweepRecord
 	for _, s := range c.slotLog {
 		if s.Paused {
 			continue
 		}
-		rep.Add(s.Record.SweepTally)
+		recs = append(recs, s.Record)
 		if s.Record.Errors > 0 {
 			rep.CoordinatorErrors--
 		}
@@ -183,14 +182,7 @@ func (c *Cluster) SweepReport() ClusterSweepReport {
 		rep.GCReclaimedBytes += s.GCReclaimedBytes
 		rep.GCWireBytes += s.GCWireBytes
 	}
-	var stale []time.Duration
-	for _, h := range c.hosts {
-		stale = append(stale, h.orch.CheckpointStaleness()...)
-	}
-	for _, h := range c.retired {
-		stale = append(stale, h.orch.CheckpointStaleness()...)
-	}
-	rep.Staleness = fleet.SpreadOf(stale)
+	rep.SweepReport = fleet.FoldSweeps(recs)
 	return rep
 }
 

@@ -120,15 +120,23 @@ const (
 	EconomyDefaults = 0 // sentinel: Economy(seed, 0, 0, 0) takes defaults
 )
 
-// econClass maps a member index onto the Zipf-skewed churn ladder.
-// With n=1024: 16 hot, 112 warm, 128 bursty, 768 idle.
+// econBands returns the Zipf-skewed churn ladder's band ends for n
+// members: indices below hot are hot, below warm warm, below burst
+// bursty, and the rest idle. With n=1024: 16 hot, 112 warm, 128
+// bursty, 768 idle.
+func econBands(n int) (hot, warm, burst int) {
+	return max(1, n/64), max(2, n/8), max(3, n/4)
+}
+
+// econClass maps a member index onto the churn ladder.
 func econClass(i, n int) string {
+	hot, warm, burst := econBands(n)
 	switch {
-	case i < max(1, n/64):
+	case i < hot:
 		return "hot"
-	case i < max(2, n/8):
+	case i < warm:
 		return "warm"
-	case i < max(3, n/4):
+	case i < burst:
 		return "burst"
 	default:
 		return "idle"
@@ -301,9 +309,9 @@ func economyRun(seed uint64, nyms, hosts, rounds int, mode string, out *EconomyM
 		if err := c.AwaitRunning(p, nyms); err != nil {
 			return err
 		}
-		// Cold-save every host directly (identical in every mode), then
-		// remember each host's staleness sample count: the steady-state
-		// percentiles below must not be polluted by ramp-age samples.
+		// Cold-save every host directly (identical in every mode). The
+		// coordinator's report below covers only its own slot passes, so
+		// the steady-state percentiles carry no ramp-age samples.
 		var coldBytes int64
 		for _, h := range c.Hosts() {
 			st, err := h.Fleet().SaveSweep(p, "econ-pw", func(m *fleet.Member) core.VaultDest {
@@ -330,10 +338,6 @@ func economyRun(seed uint64, nyms, hosts, rounds int, mode string, out *EconomyM
 				return err
 			}
 		}
-		coldSamples := make(map[string]int, hosts)
-		for _, h := range c.Hosts() {
-			coldSamples[h.Name()] = len(h.Fleet().CheckpointStaleness())
-		}
 		if err := c.StartSweeps(economySweepConfig(mode, nyms)); err != nil {
 			return err
 		}
@@ -352,13 +356,6 @@ func economyRun(seed uint64, nyms, hosts, rounds int, mode string, out *EconomyM
 		}
 		c.StopSweeps()
 		c.AwaitSweepsIdle(p)
-
-		var stale []time.Duration
-		for _, h := range c.Hosts() {
-			stale = append(stale, h.Fleet().CheckpointStaleness()[coldSamples[h.Name()]:]...)
-		}
-		sp := fleet.SpreadOf(stale)
-		out.StaleP50, out.StaleP95, out.StaleMax = sp.P50, sp.P95, sp.Max
 		return nil
 	})
 	if err != nil {
@@ -381,16 +378,18 @@ func economyRun(seed uint64, nyms, hosts, rounds int, mode string, out *EconomyM
 	out.MovesExecuted = rep.MovesExecuted
 	out.MigrationMB = float64(c.MigrationWireBytes()) / float64(guestos.MiB)
 	out.TotalWireMB = out.WireMB + out.GCWireMB + out.MigrationMB
+	out.StaleP50, out.StaleP95, out.StaleMax = rep.Staleness.P50, rep.Staleness.P95, rep.Staleness.Max
 	return coldMB, nil
 }
 
 // RenderEconomy prints the experiment.
 func RenderEconomy(r *EconomyResult) string {
 	var t table
+	hot, warm, burst := econBands(r.Nyms)
 	t.row(fmt.Sprintf("# Checkpoint economy: %d nyms / %d hosts, %d churn rounds at %s (uplink %.0f KB/s, RPO %s)",
 		r.Nyms, r.Hosts, r.Rounds, r.Interval, r.UplinkBps/1e3, r.RPO))
 	t.row(fmt.Sprintf("# cold save %.1f MB (identical per mode); Zipf churn: %d hot / %d warm / %d burst, rest idle",
-		r.ColdSaveMB, max(1, r.Nyms/64), max(2, r.Nyms/8)-max(1, r.Nyms/64), max(3, r.Nyms/4)-max(2, r.Nyms/8)))
+		r.ColdSaveMB, hot, warm-hot, burst-warm))
 	t.row("mode", "rounds", "skipped", "saves", "defer", "wireMB", "gcMB", "totalMB", "staleP50", "staleP95", "staleMax")
 	for _, m := range []EconomyMode{r.Fixed, r.Dirty, r.Adaptive} {
 		t.row(m.Mode,

@@ -21,8 +21,9 @@
 //     admitted first, equals keep arrival order. PreemptOne
 //     sacrifices the cheapest strictly-lower-class member for a
 //     queued launch — ephemeral victims are terminated outright,
-//     persistent ones are checkpointed to the NymVault and evicted,
-//     so durable identity survives the kill. The orchestrator never
+//     persistent ones are checkpointed to the NymVault through the
+//     password and destination the caller passes, and evicted, so
+//     durable identity survives the kill. The orchestrator never
 //     preempts on its own: the cluster's preemption pass decides when
 //     and on which host a queued launch is worth a victim.
 //   - Parallel pipelines. Startup and teardown run as independent
@@ -55,9 +56,13 @@
 // round trip — the all mode saves everything (SaveSweep's mode), and
 // the adaptive mode defers a dirty member until its delta is worth
 // shipping or its RPO deadline nears. Each pass's counters form a
-// SweepTally; per-pass SweepRecords sum into a SweepReport (wire
-// bytes, dirty-skip ratio, and a Spread of sweep latency and
-// per-save staleness), and a per-member saving guard makes
+// SweepTally, and its SweepRecord also carries the pass's per-save
+// staleness samples. FoldSweeps, the one aggregation of sweep
+// telemetry (here, in the cluster and in the SLO report), sums
+// records into a SweepReport (wire bytes, dirty-skip ratio, and a
+// Spread of sweep latency and per-save staleness). A report covers
+// exactly the passes it logs: SaveSweep's record goes only to its
+// caller. A per-member saving guard makes
 // the scheduler, SaveSweep, CheckpointNym, and preemption eviction
 // mutually exclusive per nym, so no nym is ever double-checkpointed.
 package fleet

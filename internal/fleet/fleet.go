@@ -45,13 +45,10 @@ const (
 )
 
 // Config parameterizes an Orchestrator. The zero value never
-// restarts and evicts only ephemeral nyms.
+// restarts.
 type Config struct {
 	// Restart is the per-member failure policy.
 	Restart RestartPolicy
-	// Preempt is the vault channel PreemptOne evicts durable members
-	// through; see PreemptConfig.
-	Preempt PreemptConfig
 }
 
 // MemberState is a fleet member's lifecycle state.
@@ -334,11 +331,6 @@ type Orchestrator struct {
 	sweeping   int
 	sweepRecs  []SweepRecord
 	sweepErrs  []error
-	// sweepStale collects one checkpoint-staleness sample per
-	// successful save of a dirty member: how old the oldest unsaved
-	// mutation could have been when the save launched. The adaptive
-	// scheduler's contract is that no sample exceeds the member's RPO.
-	sweepStale []time.Duration
 
 	// failures is the classified failure history (codes.go): one record
 	// per member-scoped error surface, bucketed by code in the SLO
@@ -783,7 +775,9 @@ func (o *Orchestrator) setState(m *Member, s MemberState) {
 // captured, so a pre-shutdown flush that needs full coverage should
 // re-sweep while Busy > 0. For the periodic, dirty-skipping variant see StartSweeps.
 // The pass counts as in flight like SweepOnce's: a scheduler tick that
-// lands mid-pass sits out, and AwaitSweepsIdle waits for it.
+// lands mid-pass sits out, and AwaitSweepsIdle waits for it. Its record
+// goes only to the caller: SweepReport covers the passes it logs, and
+// SaveSweep's is not logged.
 func (o *Orchestrator) SaveSweep(p *sim.Proc, password string, destFor func(*Member) core.VaultDest) (SweepStats, error) {
 	o.sweeping++
 	rec, err := o.runSweep(p, SweepConfig{Password: password, DestFor: destFor, Cadence: Cadence{Mode: CadenceAll}})

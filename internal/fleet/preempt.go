@@ -9,20 +9,6 @@ import (
 	"nymix/internal/sim"
 )
 
-// PreemptConfig is the vault channel PreemptOne evicts durable members
-// through. Ephemeral victims are terminated outright (their state is
-// disposable by design); durable victims (persistent, pre-configured)
-// are first checkpointed through the NymVault and then evicted, so
-// their durable identity survives in the cloud and a later launch can
-// restore it.
-type PreemptConfig struct {
-	// VaultPassword seals eviction checkpoints. DestFor maps a member
-	// to its vault destination. When either is unset, durable members
-	// are not evictable and only ephemeral nyms are preempted.
-	VaultPassword string
-	DestFor       func(*Member) core.VaultDest
-}
-
 // PreemptStats counts completed preemptions.
 type PreemptStats struct {
 	// Terminated is ephemeral members killed outright.
@@ -37,11 +23,6 @@ func (s PreemptStats) Total() int { return s.Terminated + s.Evicted }
 // Preemptions returns the orchestrator's preemption counters.
 func (o *Orchestrator) Preemptions() PreemptStats { return o.preempted }
 
-// canEvict reports whether persistent members may be vaulted away.
-func (o *Orchestrator) canEvict() bool {
-	return o.cfg.Preempt.VaultPassword != "" && o.cfg.Preempt.DestFor != nil
-}
-
 // durableModel reports whether a nym's state must survive its nymbox:
 // persistent and pre-configured nyms carry durable identity, so
 // preemption may only evict them through the vault; ephemeral state is
@@ -54,8 +35,6 @@ func durableModel(model core.UsageModel) bool {
 // sacrifice, cheapest first: lowest priority, then coldest (longest
 // time since last transition to Running — the member least likely to
 // be mid-interaction, the same heuristic the cluster rebalancer uses).
-// Durable members (persistent, pre-configured) are included only when
-// eviction is configured.
 func (o *Orchestrator) victims(pri Priority) []*Member {
 	var out []*Member
 	for _, name := range o.order {
@@ -70,9 +49,6 @@ func (o *Orchestrator) victims(pri Priority) []*Member {
 			// re-evaluates its preemption pass.
 			continue
 		}
-		if durableModel(m.nym.Model()) && !o.canEvict() {
-			continue
-		}
 		out = append(out, m)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
@@ -85,11 +61,9 @@ func (o *Orchestrator) victims(pri Priority) []*Member {
 }
 
 // PreemptibleBytes returns how much running footprint members
-// strictly below the given class could free: ephemeral members
-// always, durable ones (persistent, pre-configured) only when
-// eviction (vault password + dest) is configured. A cluster placement
-// layer reads it to decide which host a queued high-priority launch
-// should preempt on.
+// strictly below the given class could free, durable ones included. A
+// cluster placement layer reads it to decide which host a queued
+// high-priority launch should preempt on.
 func (o *Orchestrator) PreemptibleBytes(pri Priority) int64 {
 	var sum int64
 	for _, m := range o.victims(pri) {
@@ -105,8 +79,12 @@ func (o *Orchestrator) PreemptibleBytes(pri Priority) int64 {
 // demand between kills — a single-victim primitive cannot overkill
 // when the demand is admitted concurrently (the host's own admission
 // queue and a cluster dispatcher both place launches the moment a
-// reservation is released, mid-pass).
-func (o *Orchestrator) PreemptOne(p *sim.Proc, pri Priority) int64 {
+// reservation is released, mid-pass). Ephemeral victims are terminated
+// outright (their state is disposable by design); durable victims
+// (persistent, pre-configured) are first checkpointed under password
+// to destFor's vault destination and then evicted, so their durable
+// identity survives in the cloud and a later launch can restore it.
+func (o *Orchestrator) PreemptOne(p *sim.Proc, pri Priority, password string, destFor func(*Member) core.VaultDest) int64 {
 	o.opStarted()
 	defer o.opDone()
 	for {
@@ -114,7 +92,7 @@ func (o *Orchestrator) PreemptOne(p *sim.Proc, pri Priority) int64 {
 		if len(vs) == 0 {
 			return 0
 		}
-		if err := o.preemptMember(p, vs[0]); err == nil {
+		if err := o.preemptMember(p, vs[0], password, destFor); err == nil {
 			return vs[0].footprint
 		}
 		// The victim changed state under us (crashed, stopped); the
@@ -132,7 +110,7 @@ func (o *Orchestrator) PreemptOne(p *sim.Proc, pri Priority) int64 {
 // state under us, or its eviction save failed); a partial teardown
 // failure does not count — TerminateNym always retires the nym, so
 // the preemption succeeded and the error is recorded on the member.
-func (o *Orchestrator) preemptMember(p *sim.Proc, m *Member) error {
+func (o *Orchestrator) preemptMember(p *sim.Proc, m *Member, password string, destFor func(*Member) core.VaultDest) error {
 	if m.state != StateRunning || m.nym == nil {
 		return fmt.Errorf("%w: %q is %v", ErrNotRunning, m.spec.Name, m.state)
 	}
@@ -141,10 +119,10 @@ func (o *Orchestrator) preemptMember(p *sim.Proc, m *Member) error {
 	}
 	durable := durableModel(m.nym.Model())
 	if durable {
-		dest := o.cfg.Preempt.DestFor(m)
+		dest := destFor(m)
 		claim := &saveClaim{}
 		m.saving = claim
-		_, err := o.mgr.StoreNymVault(p, m.nym, o.cfg.Preempt.VaultPassword, dest)
+		_, err := o.mgr.StoreNymVault(p, m.nym, password, dest)
 		o.releaseClaim(m, claim)
 		if err != nil {
 			// An unsaveable member is not evictable; leave it running.
@@ -152,7 +130,7 @@ func (o *Orchestrator) preemptMember(p *sim.Proc, m *Member) error {
 			o.recordFailure(m.spec.Name, "evict", werr)
 			return werr
 		}
-		m.checkpoint = &Checkpoint{Password: o.cfg.Preempt.VaultPassword, Dest: dest}
+		m.checkpoint = &Checkpoint{Password: password, Dest: dest}
 	}
 	// The checkpoint above yields; the member may have crashed or been
 	// stopped meanwhile.

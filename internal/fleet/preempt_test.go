@@ -17,10 +17,10 @@ func testVaultDest(m *Member) core.VaultDest {
 	}
 }
 
-// preemptCfg configures the vault channel durable victims are evicted
-// through.
-func preemptCfg() Config {
-	return Config{Preempt: PreemptConfig{VaultPassword: "fleet-pw", DestFor: testVaultDest}}
+// preemptOne sacrifices one victim below pri, evicting a durable one
+// through the test vault channel.
+func preemptOne(p *sim.Proc, o *Orchestrator, pri Priority) int64 {
+	return o.PreemptOne(p, pri, "fleet-pw", testVaultDest)
 }
 
 // A 2 GiB host admits two 400 MiB nymboxes (0.9 headroom minus the
@@ -57,7 +57,7 @@ func queueSystem(t *testing.T, o *Orchestrator) *Member {
 func preemptForSystem(t *testing.T, p *sim.Proc, o *Orchestrator) {
 	t.Helper()
 	m := queueSystem(t, o)
-	if freed := o.PreemptOne(p, PrioritySystem); freed != m.Footprint() {
+	if freed := preemptOne(p, o, PrioritySystem); freed != m.Footprint() {
 		t.Fatalf("PreemptOne freed %d bytes, want one %d-byte victim", freed, m.Footprint())
 	}
 	for m.State() != StateRunning && m.State() != StateFailed {
@@ -69,7 +69,7 @@ func preemptForSystem(t *testing.T, p *sim.Proc, o *Orchestrator) {
 }
 
 func TestPreemptionAdmitsHigherClass(t *testing.T) {
-	eng, o := newFleet(t, 31, 2<<30, preemptCfg())
+	eng, o := newFleet(t, 31, 2<<30, Config{})
 	run(t, eng, func(p *sim.Proc) {
 		fill(t, p, o, specs(2, core.ModelEphemeral))
 		preemptForSystem(t, p, o)
@@ -94,7 +94,7 @@ func TestPreemptionAdmitsHigherClass(t *testing.T) {
 // the ephemeral one dies first — persistent nyms rank above ephemeral
 // in the class ladder.
 func TestPreemptionOrderEphemeralBeforePersistent(t *testing.T) {
-	eng, o := newFleet(t, 33, 2<<30, preemptCfg())
+	eng, o := newFleet(t, 33, 2<<30, Config{})
 	run(t, eng, func(p *sim.Proc) {
 		// The persistent member launches (and runs) first, making it
 		// the coldest; the ephemeral follows.
@@ -125,7 +125,7 @@ func TestPreemptionOrderEphemeralBeforePersistent(t *testing.T) {
 // victim from its eviction checkpoint.
 func evictAndRestore(t *testing.T, seed uint64, model core.UsageModel) {
 	t.Helper()
-	eng, o := newFleet(t, seed, 2<<30, preemptCfg())
+	eng, o := newFleet(t, seed, 2<<30, Config{})
 	var victim *Member
 	run(t, eng, func(p *sim.Proc) {
 		fill(t, p, o, specs(2, model))
@@ -187,7 +187,7 @@ func TestPreemptionEvictsPreconfiguredThroughVault(t *testing.T) {
 // nothing and kills nothing; the queue stalls honestly and
 // AwaitRunning errors instead of parking forever.
 func TestNoPreemptionWithoutVictims(t *testing.T) {
-	eng, o := newFleet(t, 37, 2<<30, preemptCfg())
+	eng, o := newFleet(t, 37, 2<<30, Config{})
 	var awaitErr error
 	run(t, eng, func(p *sim.Proc) {
 		fillers := specs(2, core.ModelEphemeral)
@@ -199,7 +199,7 @@ func TestNoPreemptionWithoutVictims(t *testing.T) {
 		if got := o.PreemptibleBytes(PrioritySystem); got != 0 {
 			t.Errorf("preemptible = %d bytes, want 0", got)
 		}
-		if freed := o.PreemptOne(p, PrioritySystem); freed != 0 {
+		if freed := preemptOne(p, o, PrioritySystem); freed != 0 {
 			t.Errorf("PreemptOne freed %d bytes with no lower-class victim", freed)
 		}
 		awaitErr = o.AwaitRunning(p, 3)
@@ -215,45 +215,22 @@ func TestNoPreemptionWithoutVictims(t *testing.T) {
 	}
 }
 
-// TestPreemptibleBytesExcludesDurableWithoutVault: with no vault
-// channel configured, durable members cannot be evicted, so they count
-// toward neither PreemptibleBytes nor PreemptOne's victims.
-func TestPreemptibleBytesExcludesDurableWithoutVault(t *testing.T) {
+// TestPreemptibleBytesCountsDurableMembers: durable members are
+// always evictable through the vault channel PreemptOne is given, so
+// they count toward PreemptibleBytes beside ephemeral ones.
+func TestPreemptibleBytesCountsDurableMembers(t *testing.T) {
 	fp := smallOpts(core.ModelEphemeral).Footprint()
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		want int64
-	}{
-		{"no vault channel", Config{}, fp},
-		{"vault channel", preemptCfg(), 2 * fp},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			eng, o := newFleet(t, 41, 2<<30, tc.cfg)
-			run(t, eng, func(p *sim.Proc) {
-				sp := specs(2, core.ModelEphemeral)
-				sp[0].Opts.Model = core.ModelPersistent
-				fill(t, p, o, sp)
-				if got := o.PreemptibleBytes(PrioritySystem); got != tc.want {
-					t.Errorf("preemptible = %d bytes, want %d", got, tc.want)
-				}
-				// Nothing ranks below the ephemeral class.
-				if got := o.PreemptibleBytes(PriorityEphemeral); got != 0 {
-					t.Errorf("preemptible below ephemeral = %d bytes, want 0", got)
-				}
-				if tc.want == 2*fp {
-					return
-				}
-				if freed := o.PreemptOne(p, PrioritySystem); freed != fp {
-					t.Errorf("first PreemptOne freed %d bytes, want the ephemeral's %d", freed, fp)
-				}
-				if freed := o.PreemptOne(p, PrioritySystem); freed != 0 {
-					t.Errorf("second PreemptOne freed %d bytes, want 0 with only a durable member left", freed)
-				}
-				if got := o.Member("nym00").State(); got != StateRunning {
-					t.Errorf("persistent member = %v, want still running", got)
-				}
-			})
-		})
-	}
+	eng, o := newFleet(t, 41, 2<<30, Config{})
+	run(t, eng, func(p *sim.Proc) {
+		sp := specs(2, core.ModelEphemeral)
+		sp[0].Opts.Model = core.ModelPersistent
+		fill(t, p, o, sp)
+		if got := o.PreemptibleBytes(PrioritySystem); got != 2*fp {
+			t.Errorf("preemptible = %d bytes, want %d", got, 2*fp)
+		}
+		// Nothing ranks below the ephemeral class.
+		if got := o.PreemptibleBytes(PriorityEphemeral); got != 0 {
+			t.Errorf("preemptible below ephemeral = %d bytes, want 0", got)
+		}
+	})
 }

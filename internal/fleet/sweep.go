@@ -142,10 +142,10 @@ func (c *SweepConfig) fillDefaults() {
 }
 
 // SweepTally is the additive checkpoint work of sweep passes: one
-// pass's (SweepRecord) or a sum over passes and hosts (SweepReport,
-// the cluster coordinator's report, the SLO report). Every eligible
-// member lands in exactly one of Saves, Skipped, Deferred, Busy and
-// Errors.
+// pass's (SweepRecord) or a FoldSweeps sum over passes and hosts
+// (SweepReport, the cluster coordinator's report, the SLO report).
+// Every eligible member lands in exactly one of Saves, Skipped,
+// Deferred, Busy and Errors.
 type SweepTally struct {
 	Eligible int // Running persistent members considered
 	Saves    int // checkpoints performed
@@ -166,8 +166,8 @@ type SweepTally struct {
 	TotalChunks int
 }
 
-// Add accumulates u into t.
-func (t *SweepTally) Add(u SweepTally) {
+// add accumulates u into t. Only FoldSweeps sums tallies.
+func (t *SweepTally) add(u SweepTally) {
 	t.Eligible += u.Eligible
 	t.Saves += u.Saves
 	t.Skipped += u.Skipped
@@ -202,54 +202,65 @@ type SweepRecord struct {
 	// pressure; all other fields are zero.
 	BackedOff bool
 	SweepTally
+	// Stale holds one checkpoint-staleness sample per successful save
+	// of a dirty member, in save-launch order: how old the member's
+	// oldest unsaved mutation could have been when its save launched.
+	// The adaptive cadence's contract is that no sample exceeds the
+	// member's RPO.
+	Stale []time.Duration
 }
 
 // SweepStats is the result of one SaveSweep: the same record a
 // scheduled pass produces.
 type SweepStats = SweepRecord
 
-// SweepReport aggregates every recorded sweep pass — the typed
-// telemetry the experiments render: total wire, dirty-skip ratio, and
-// per-sweep latency percentiles.
+// SweepReport aggregates sweep passes — the typed telemetry the
+// experiments render: total wire, dirty-skip ratio, and per-sweep
+// latency and per-save staleness percentiles. A report covers exactly
+// the records it was folded from.
 type SweepReport struct {
 	Sweeps   int // completed passes (backed-off ticks excluded)
 	Backoffs int // ticks skipped under pressure
 	SweepTally
 	// Latency summarizes completed passes' Elapsed times.
 	Latency Spread
-	// Staleness summarizes the per-save checkpoint-staleness samples
-	// (see CheckpointStaleness): how old each saved member's oldest
-	// unsaved mutation could have been when its save launched.
+	// Staleness summarizes every record's Stale samples, pooled so each
+	// save weighs equally (not an average of per-pass quantiles).
 	Staleness Spread
 	Records   []SweepRecord
 }
 
-// SweepReport builds the aggregate report from every pass recorded so
-// far (scheduler ticks and explicit SweepOnce calls alike).
-func (o *Orchestrator) SweepReport() SweepReport {
-	rep := SweepReport{Records: append([]SweepRecord(nil), o.sweepRecs...)}
-	var lats []time.Duration
-	for _, rec := range o.sweepRecs {
+// FoldSweeps sums recs into a report. It is the one aggregation of
+// sweep telemetry: the orchestrator's report, the cluster
+// coordinator's and the SLO report all fold their records here. The
+// report's Records is recs itself.
+func FoldSweeps(recs []SweepRecord) SweepReport {
+	rep := SweepReport{Records: recs}
+	var lats, stale []time.Duration
+	for _, rec := range recs {
 		if rec.BackedOff {
 			rep.Backoffs++
 			continue
 		}
 		rep.Sweeps++
-		rep.Add(rec.SweepTally)
+		rep.add(rec.SweepTally)
 		lats = append(lats, rec.Elapsed)
+		stale = append(stale, rec.Stale...)
 	}
 	rep.Latency = SpreadOf(lats)
-	rep.Staleness = SpreadOf(o.sweepStale)
+	rep.Staleness = SpreadOf(stale)
 	return rep
 }
 
-// CheckpointStaleness returns the per-save staleness samples behind
-// the report's percentiles, in save-launch order. The cluster
-// coordinator pools these across hosts so its staleness percentiles
-// weigh every save equally rather than averaging per-host quantiles.
-func (o *Orchestrator) CheckpointStaleness() []time.Duration {
-	return append([]time.Duration(nil), o.sweepStale...)
+// SweepRecords returns every recorded sweep pass and backed-off tick
+// (scheduler ticks and explicit SweepOnce calls alike), in order.
+// SaveSweep's pass is not recorded: its record goes to its caller.
+func (o *Orchestrator) SweepRecords() []SweepRecord {
+	return append([]SweepRecord(nil), o.sweepRecs...)
 }
+
+// SweepReport folds every recorded pass (see SweepRecords).
+func (o *Orchestrator) SweepReport() SweepReport { return FoldSweeps(o.SweepRecords()) }
 
 // SweepErrors returns every error a recorded sweep pass produced, in
 // order. Tests use it to assert that interleavings (crash injection,
@@ -478,7 +489,7 @@ func (o *Orchestrator) runSweep(p *sim.Proc, cfg SweepConfig) (SweepRecord, erro
 	var saved []*Member
 	var dests []core.VaultDest
 	var claims []*saveClaim
-	var stales []time.Duration // per-launch staleness; recorded on success
+	var stales []time.Duration // per-launch staleness; kept on success
 	var cleanAts []sim.Time    // pre-launch cleanAt; restored on failure
 	var launchAts []sim.Time   // when each save launched
 	first := true
@@ -561,6 +572,7 @@ func (o *Orchestrator) runSweep(p *sim.Proc, cfg SweepConfig) (SweepRecord, erro
 		rec.LoginBytes += int64(len(dest.Providers)) * cloud.LoginWireBytes
 	}
 	var errs []error
+	n := 0
 	for i, f := range futs {
 		res, err := sim.Await(p, f)
 		o.releaseClaim(saved[i], claims[i])
@@ -578,8 +590,11 @@ func (o *Orchestrator) runSweep(p *sim.Proc, cfg SweepConfig) (SweepRecord, erro
 			continue
 		}
 		rec.Saves++
+		// Filter stales in place into the record's samples: n <= i, so
+		// every slot is read before it is overwritten.
 		if stales[i] >= 0 {
-			o.sweepStale = append(o.sweepStale, stales[i])
+			stales[n] = stales[i]
+			n++
 		}
 		rec.UploadedBytes += res.Stats.UploadedBytes
 		rec.BaselineBytes += res.Stats.BaselineWireBytes
@@ -587,6 +602,9 @@ func (o *Orchestrator) runSweep(p *sim.Proc, cfg SweepConfig) (SweepRecord, erro
 		rec.TotalChunks += res.Stats.TotalChunks
 		// A successful save becomes the member's restart checkpoint.
 		saved[i].checkpoint = &Checkpoint{Password: cfg.Password, Dest: dests[i]}
+	}
+	if n > 0 {
+		rec.Stale = stales[:n]
 	}
 	rec.Elapsed = p.Now() - rec.At
 	o.sampleRAM()

@@ -196,7 +196,10 @@ func TestAdaptiveCadenceHonorsRPOUnderPressure(t *testing.T) {
 		o.StopSweeps()
 		o.AwaitSweepsIdle(p)
 
-		samples := o.CheckpointStaleness()
+		var samples []time.Duration
+		for _, rec := range o.SweepRecords() {
+			samples = append(samples, rec.Stale...)
+		}
 		if len(samples) < 4 {
 			t.Fatalf("only %d staleness samples over 500s of pressured churn, want >= 4", len(samples))
 		}

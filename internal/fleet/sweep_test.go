@@ -319,3 +319,53 @@ func TestSaveSweepHoldsOffSchedulerAndAwaitIdle(t *testing.T) {
 		}
 	})
 }
+
+// TestSaveSweepRecordStaysWithCaller is the report rule: a report
+// covers exactly the passes it logs. SaveSweep's pass is not logged,
+// so a cold save of dirty members leaves SweepReport empty, staleness
+// included, and its samples live only on the record it returns — one
+// per dirty save.
+func TestSaveSweepRecordStaysWithCaller(t *testing.T) {
+	eng, o := newFleet(t, 23, 16<<30, Config{})
+	run(t, eng, func(p *sim.Proc) {
+		if _, err := o.LaunchAll(specs(4, core.ModelPersistent)); err != nil {
+			t.Errorf("launch: %v", err)
+			return
+		}
+		if err := o.AwaitRunning(p, 4); err != nil {
+			t.Errorf("await: %v", err)
+			return
+		}
+		dirty := 0
+		for _, m := range o.Members() {
+			if m.Nym().StateDirty() {
+				dirty++
+			}
+		}
+		if dirty == 0 {
+			t.Error("no member dirty after boot; the cold save would sample nothing")
+			return
+		}
+		rec, err := o.SaveSweep(p, "pw", sweepDest)
+		if err != nil {
+			t.Errorf("cold sweep: %v", err)
+			return
+		}
+		if rec.Saves != 4 || len(rec.Stale) != dirty {
+			t.Errorf("cold sweep: %d saves with %d staleness samples, want 4 with %d", rec.Saves, len(rec.Stale), dirty)
+		}
+		for i, s := range rec.Stale {
+			if s < 0 {
+				t.Errorf("sample %d: negative staleness %v", i, s)
+			}
+		}
+		rep := o.SweepReport()
+		if rep.Staleness != (Spread{}) || rep.Sweeps != 0 || rep.Saves != 0 || len(rep.Records) != 0 {
+			t.Errorf("report after an unlogged SaveSweep: %d sweeps, %d saves, staleness %+v, %d records; want all zero",
+				rep.Sweeps, rep.Saves, rep.Staleness, len(rep.Records))
+		}
+		if err := o.StopAll(p); err != nil {
+			t.Errorf("stop: %v", err)
+		}
+	})
+}

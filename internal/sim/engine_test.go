@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -270,6 +271,24 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 	f.Complete(2, nil)
 }
 
+// Complete runs subscribers in registration order: the first one,
+// held inline, before the rest, and a completed future runs a late
+// subscriber at once.
+func TestFutureRunsSubscribersInRegistrationOrder(t *testing.T) {
+	e := NewEngine(1)
+	f := NewFuture[int](e)
+	var order []int
+	for i := 0; i < 3; i++ {
+		f.OnDone(func() { order = append(order, i) })
+	}
+	f.Complete(1, nil)
+	f.OnDone(func() { order = append(order, 3) })
+	e.Run()
+	if fmt.Sprint(order) != "[0 1 2 3]" {
+		t.Fatalf("subscribers ran in order %v, want [0 1 2 3]", order)
+	}
+}
+
 func TestProcCompletingFutureWakesAnotherProc(t *testing.T) {
 	e := NewEngine(1)
 	f := NewFuture[string](e)
@@ -405,7 +424,8 @@ func TestNormFloat64Moments(t *testing.T) {
 
 // TestWarmEngineAllocs pins the kernel's steady state: once an engine's
 // free list and queue have grown, scheduling an event and firing it,
-// scheduling one and canceling it, and one Proc.Sleep allocate nothing.
+// scheduling one and canceling it, one Proc.Sleep, and a future's
+// single OnDone through Complete allocate nothing.
 func TestWarmEngineAllocs(t *testing.T) {
 	e := NewEngine(1)
 	fn := func() {}
@@ -414,6 +434,14 @@ func TestWarmEngineAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { e.Schedule(time.Millisecond, fn).Cancel() }); n != 0 {
 		t.Errorf("schedule and cancel: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		f := NewFuture[int](e)
+		f.OnDone(fn)
+		f.Complete(1, nil)
+		e.Run()
+	}); n != 0 {
+		t.Errorf("future with one OnDone: %v allocs, want 0", n)
 	}
 
 	e = NewEngine(1)

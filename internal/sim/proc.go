@@ -121,7 +121,12 @@ type Future[T any] struct {
 	done bool
 	val  T
 	err  error
-	subs []subscriber
+	// first is the first subscriber, held inline: most futures get
+	// exactly one (an Await or an OnDone), and it costs no allocation.
+	// more holds the rest in registration order; it is a pointer so
+	// the rare second subscriber pays for the list, not every future.
+	first subscriber
+	more  *[]subscriber
 }
 
 // subscriber is one completion callback. A deferred one runs as a
@@ -148,10 +153,15 @@ func (f *Future[T]) Complete(val T, err error) {
 	f.done = true
 	f.val = val
 	f.err = err
-	subs := f.subs
-	f.subs = nil
-	for _, sub := range subs {
-		sub.run(f.eng)
+	first, more := f.first, f.more
+	f.first, f.more = subscriber{}, nil
+	if first.fn != nil {
+		first.run(f.eng)
+	}
+	if more != nil {
+		for _, sub := range *more {
+			sub.run(f.eng)
+		}
 	}
 }
 
@@ -180,11 +190,16 @@ func (f *Future[T]) Value() (T, error) {
 // deferred is set.
 func (f *Future[T]) onDone(fn func(), deferred bool) {
 	sub := subscriber{fn: fn, deferred: deferred}
-	if f.done {
+	switch {
+	case f.done:
 		sub.run(f.eng)
-		return
+	case f.first.fn == nil:
+		f.first = sub
+	case f.more == nil:
+		f.more = &[]subscriber{sub}
+	default:
+		*f.more = append(*f.more, sub)
 	}
-	f.subs = append(f.subs, sub)
 }
 
 // OnDone schedules fn as a zero-delay event when the future completes.

@@ -12,7 +12,10 @@
 // distribution (how old a checkpoint gets under backoff pressure),
 // and the checkpoint wire budget against its monolithic baseline.
 //
-// Build a report with FromFleet (one orchestrator) or FromCluster
-// (the whole pool, retired hosts included); Render prints it the way
-// `nymixctl status` does.
+// Build a report with FromCluster (the whole pool, retired hosts
+// included; one orchestrator is a one-host cluster); Render prints it
+// the way `nymixctl status` does. The sweep figures are one
+// fleet.FoldSweeps over every host's logged passes, so a report
+// covers exactly the passes the hosts log: a fleet SaveSweep, whose
+// record goes only to its caller, is not in them.
 package slo

@@ -25,7 +25,7 @@ type FailureCount struct {
 // history appear.
 type MemberHealth struct {
 	Member   string
-	Host     string // "" in a single-orchestrator report
+	Host     string
 	Failures []FailureCount
 }
 
@@ -35,7 +35,7 @@ type MemberHealth struct {
 type Report struct {
 	At sim.Time // simulated timestamp of the snapshot
 
-	// Pool shape. A single-orchestrator report is a one-host pool.
+	// Pool shape.
 	Hosts        int
 	ActiveHosts  int
 	RetiredHosts int
@@ -110,65 +110,74 @@ func (r Report) WireSavings() float64 {
 	return 1 - float64(r.CheckpointWireBytes)/float64(r.CheckpointBaselineBytes)
 }
 
-// FromFleet snapshots one orchestrator as a one-host pool.
-func FromFleet(o *fleet.Orchestrator) Report {
-	b := builder{}
-	b.r.At = o.Manager().Engine().Now()
-	b.r.Hosts, b.r.ActiveHosts = 1, 1
-	b.addMembers("", o.Members(), nil)
-	b.addFailures("", o.Failures())
-	b.addSweeps(o.SweepReport())
-	b.stale = append(b.stale, o.CheckpointStaleness()...)
-	b.r.Preempted = o.Preemptions()
-	b.r.WireReservedRate = o.WireReservedRate()
-	return b.finish()
-}
-
 // FromCluster snapshots the whole pool, retired hosts included: their
 // failure histories and sweep telemetry are part of the run even
-// though the hosts no longer take placements.
+// though the hosts no longer take placements. The sweep figures fold
+// every host's recorded passes once (fleet.FoldSweeps), so a
+// SaveSweep, whose record goes only to its caller, is not in them.
 func FromCluster(c *cluster.Cluster) Report {
 	st := c.Snapshot()
 	b := builder{}
-	b.r.Hosts, b.r.ActiveHosts, b.r.RetiredHosts = st.Hosts, st.ActiveHosts, st.RetiredHosts
-	b.r.Migrations = st.Migrations
-	b.r.Preempted = st.Preempted
-	b.r.MigrationWireBytes = st.MigrationWireBytes
-	b.r.WireReservedRate = st.WireReservedRate
+	r := &b.r
+	r.Hosts, r.ActiveHosts, r.RetiredHosts = st.Hosts, st.ActiveHosts, st.RetiredHosts
+	r.Migrations = st.Migrations
+	r.Preempted = st.Preempted
+	r.MigrationWireBytes = st.MigrationWireBytes
+	r.WireReservedRate = st.WireReservedRate
 	hosts := append(c.Hosts(), c.RetiredHosts()...)
 	if len(hosts) > 0 {
-		b.r.At = hosts[0].Manager().Engine().Now()
+		r.At = hosts[0].Manager().Engine().Now()
 	}
+	var recs []fleet.SweepRecord
 	for _, h := range hosts {
 		// Cluster ramp latency runs from cluster-wide queue entry, not
 		// host-side admission: time parked in the cluster queue is
 		// latency the user saw.
-		b.addMembers(h.Name(), h.Fleet().Members(), c.LaunchedAt)
+		b.addMembers(h.Fleet().Members(), c.LaunchedAt)
 		b.addFailures(h.Name(), h.Fleet().Failures())
-		b.addSweeps(h.Fleet().SweepReport())
-		b.stale = append(b.stale, h.Fleet().CheckpointStaleness()...)
+		hostRecs := h.Fleet().SweepRecords()
+		b.addPassGaps(hostRecs)
+		recs = append(recs, hostRecs...)
 	}
+	sw := fleet.FoldSweeps(recs)
 	crep := c.SweepReport()
-	b.r.GCRuns = crep.GCRuns
-	b.r.GCReclaimedBytes = crep.GCReclaimedBytes
-	b.r.GCWireBytes = crep.GCWireBytes
-	b.r.CheckpointWireBytes += crep.GCWireBytes
-	b.r.SweepErrors += crep.CoordinatorErrors
-	return b.finish()
+	r.Sweeps = sw.Sweeps
+	r.SweepBackoffs = sw.Backoffs
+	r.SweepErrors = sw.Errors + crep.CoordinatorErrors
+	r.SweepDeferred = sw.Deferred
+	r.DirtySkipRatio = sw.DirtySkipRatio()
+	r.SweepLatency = sw.Latency
+	r.MemberStaleness = sw.Staleness
+	r.GCRuns = crep.GCRuns
+	r.GCReclaimedBytes = crep.GCReclaimedBytes
+	r.GCWireBytes = crep.GCWireBytes
+	r.CheckpointWireBytes = sw.WireBytes() + crep.GCWireBytes
+	r.CheckpointBaselineBytes = sw.BaselineBytes
+	r.Ramp = fleet.SpreadOf(b.ramps)
+	r.Staleness = fleet.SpreadOf(b.passGaps)
+	if hours := r.At.Hours(); hours > 0 {
+		r.RestartRate = float64(r.Restarts) / hours
+		r.PreemptionRate = float64(r.Preempted.Total()) / hours
+		r.MigrationRate = float64(r.Migrations) / hours
+	}
+	totals := map[nymerr.Code]int{}
+	for _, mh := range r.MemberHealth {
+		for _, fc := range mh.Failures {
+			totals[fc.Code] += fc.Count
+		}
+	}
+	r.FailuresByCode = sortedCounts(totals)
+	return *r
 }
 
-// builder accumulates raw samples across hosts before the percentile
-// and rate math in finish.
+// builder accumulates the report's per-host counts and samples.
 type builder struct {
-	r         Report
-	sweeps    fleet.SweepTally
-	ramps     []time.Duration
-	sweepLats []time.Duration
-	passGaps  []time.Duration
-	stale     []time.Duration
+	r        Report
+	ramps    []time.Duration
+	passGaps []time.Duration
 }
 
-func (b *builder) addMembers(host string, members []*fleet.Member, launchedAt func(string) (sim.Time, bool)) {
+func (b *builder) addMembers(members []*fleet.Member, launchedAt func(string) (sim.Time, bool)) {
 	for _, m := range members {
 		b.r.Members++
 		switch m.State() {
@@ -187,10 +196,8 @@ func (b *builder) addMembers(host string, members []*fleet.Member, launchedAt fu
 		}
 		if m.RunningAt() > 0 {
 			start := m.QueuedAt()
-			if launchedAt != nil {
-				if t, ok := launchedAt(m.Name()); ok {
-					start = t
-				}
+			if t, ok := launchedAt(m.Name()); ok {
+				start = t
 			}
 			if lat := m.RunningAt() - start; lat >= 0 {
 				b.ramps = append(b.ramps, lat)
@@ -225,52 +232,20 @@ func (b *builder) addFailures(host string, recs []fleet.FailureRecord) {
 	}
 }
 
-// addSweeps folds one host's sweep report. Pass gaps are taken within
-// the host: gaps between different hosts' passes are slot spacing, not
+// addPassGaps adds the gaps between one host's consecutive completed
+// passes: gaps between different hosts' passes are slot spacing, not
 // staleness.
-func (b *builder) addSweeps(rep fleet.SweepReport) {
-	b.r.Sweeps += rep.Sweeps
-	b.r.SweepBackoffs += rep.Backoffs
-	b.sweeps.Add(rep.SweepTally)
+func (b *builder) addPassGaps(recs []fleet.SweepRecord) {
 	var passAts []sim.Time
-	for _, rec := range rep.Records {
-		if rec.BackedOff {
-			continue
+	for _, rec := range recs {
+		if !rec.BackedOff {
+			passAts = append(passAts, rec.At)
 		}
-		b.sweepLats = append(b.sweepLats, rec.Elapsed)
-		passAts = append(passAts, rec.At)
 	}
 	slices.Sort(passAts)
 	for i := 1; i < len(passAts); i++ {
 		b.passGaps = append(b.passGaps, passAts[i]-passAts[i-1])
 	}
-}
-
-// finish folds the accumulated samples into percentiles and rates.
-func (b *builder) finish() Report {
-	r := &b.r
-	r.SweepErrors += b.sweeps.Errors
-	r.SweepDeferred = b.sweeps.Deferred
-	r.DirtySkipRatio = b.sweeps.DirtySkipRatio()
-	r.CheckpointWireBytes += b.sweeps.WireBytes()
-	r.CheckpointBaselineBytes = b.sweeps.BaselineBytes
-	r.Ramp = fleet.SpreadOf(b.ramps)
-	r.SweepLatency = fleet.SpreadOf(b.sweepLats)
-	r.Staleness = fleet.SpreadOf(b.passGaps)
-	r.MemberStaleness = fleet.SpreadOf(b.stale)
-	if hours := r.At.Hours(); hours > 0 {
-		r.RestartRate = float64(r.Restarts) / hours
-		r.PreemptionRate = float64(r.Preempted.Total()) / hours
-		r.MigrationRate = float64(r.Migrations) / hours
-	}
-	totals := map[nymerr.Code]int{}
-	for _, mh := range r.MemberHealth {
-		for _, fc := range mh.Failures {
-			totals[fc.Code] += fc.Count
-		}
-	}
-	r.FailuresByCode = sortedCounts(totals)
-	return *r
 }
 
 // sortedCounts flattens a bucket map, descending count then code.
@@ -322,15 +297,11 @@ func (r Report) Render() string {
 		fmt.Fprintf(&b, "    %-36s %d\n", string(fc.Code), fc.Count)
 	}
 	for _, mh := range r.MemberHealth {
-		loc := mh.Member
-		if mh.Host != "" {
-			loc = mh.Member + "@" + mh.Host
-		}
 		var parts []string
 		for _, fc := range mh.Failures {
 			parts = append(parts, fmt.Sprintf("%s x%d", fc.Code, fc.Count))
 		}
-		fmt.Fprintf(&b, "    %-20s %s\n", loc, strings.Join(parts, ", "))
+		fmt.Fprintf(&b, "    %-20s %s\n", mh.Member+"@"+mh.Host, strings.Join(parts, ", "))
 	}
 	return b.String()
 }

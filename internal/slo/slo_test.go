@@ -32,35 +32,36 @@ func run(t *testing.T, eng *sim.Engine, fn func(p *sim.Proc)) {
 	eng.Run()
 }
 
+// A one-host pool: the report a single orchestrator used to get.
 func TestFromFleetBucketsInjectedFailures(t *testing.T) {
 	eng := sim.NewEngine(11)
 	_, world := webworld.BuildDefault(eng)
-	mgr, err := core.NewManager(eng, world, hypervisor.Config{
-		RAMBytes: 8 << 30,
-		CPU:      cpusched.DefaultConfig(),
+	c, err := cluster.New(eng, world, cluster.Config{
+		Hosts:      1,
+		HostConfig: hypervisor.Config{RAMBytes: 8 << 30, CPU: cpusched.DefaultConfig()},
+		Fleet:      fleet.Config{Restart: fleet.RestartPolicy{MaxRestarts: 1, Backoff: time.Second}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	orch := fleet.New(mgr, fleet.Config{Restart: fleet.RestartPolicy{MaxRestarts: 1, Backoff: time.Second}})
 	run(t, eng, func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			name := fmt.Sprintf("nym%02d", i)
-			if _, err := orch.Launch(fleet.Spec{Name: name, Opts: smallOpts(core.ModelEphemeral)}); err != nil {
+			if err := c.Launch(fleet.Spec{Name: name, Opts: smallOpts(core.ModelEphemeral)}); err != nil {
 				t.Errorf("launch %s: %v", name, err)
 			}
 		}
-		if err := orch.AwaitRunning(p, 3); err != nil {
+		if err := c.AwaitRunning(p, 3); err != nil {
 			t.Errorf("await: %v", err)
 		}
-		if err := orch.FailNym(p, "nym01", nil); err != nil {
+		if err := c.HostOf("nym01").Fleet().FailNym(p, "nym01", nil); err != nil {
 			t.Errorf("fail: %v", err)
 		}
-		if err := orch.AwaitRunning(p, 3); err != nil {
+		if err := c.AwaitRunning(p, 3); err != nil {
 			t.Errorf("await after crash: %v", err)
 		}
 	})
-	rep := FromFleet(orch)
+	rep := FromCluster(c)
 	if rep.Members != 3 || rep.Running != 3 {
 		t.Fatalf("members/running = %d/%d, want 3/3", rep.Members, rep.Running)
 	}
