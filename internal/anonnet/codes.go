@@ -22,11 +22,11 @@ var (
 	// CodeBadRequest: the fetch request is malformed (empty site node).
 	CodeBadRequest = nymerr.Register("anonnet.bad_request",
 		"malformed fetch request")
-	// CodeBadFrame: a fixed-size mixnet packet failed to decode —
-	// truncated, oversized, or corrupted on the wire. Decoders fail
-	// closed under this code.
+	// CodeBadFrame: a fixed-size frame failed a size check. Only
+	// dissent's DC-net reference core mints it: a message longer than
+	// its slot, or round inputs of unequal length.
 	CodeBadFrame = nymerr.Register("anonnet.bad_frame",
-		"fixed-size packet failed validation; decoder fails closed")
+		"fixed-size frame failed a size check")
 	// CodeUnknownTransport: no factory is registered under the
 	// requested transport kind.
 	CodeUnknownTransport = nymerr.Register("anonnet.unknown_transport",

@@ -9,6 +9,8 @@
 // of its pads (plus its message, in its own slot), a server's share is
 // the XOR of the pads it holds, and XOR-combining everything reveals
 // exactly the plaintext slots — unconditionally hiding who sent what.
+// It and blame.go are a unit-tested reference: the Client transport
+// prices rounds by slot size and server cost and does not call them.
 package dissent
 
 import (

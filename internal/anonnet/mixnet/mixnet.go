@@ -1,6 +1,7 @@
 // Package mixnet implements a Nym-style mix-network transport for the
-// CommVM: a SOCKS-fronted client that frames every request into
-// Sphinx-style fixed-size packets, forwards them through a three-hop
+// CommVM: a SOCKS-fronted client that carries every request as
+// fixed-size frames of PacketSize wire bytes (sizes only: no header
+// is encoded or checked), forwards them through a three-hop
 // mix cascade whose hops each impose an exponentially distributed mix
 // delay, and — the part that distinguishes it from every other
 // transport — keeps transmitting fixed-size cover packets at a
@@ -29,9 +30,21 @@ import (
 // classify on it.
 const Proto = "mixnet"
 
-// Defaults. CoverInterval fixes the client's observable uplink rate
-// at PacketSize/CoverInterval bytes per second; HopDelayMean is the
-// mean of each hop's exponential mix delay.
+// Frame sizes. Every frame on the wire, cover or payload, is exactly
+// PacketSize bytes, so a wire observer cannot tell idle from active
+// clients by frame length.
+const (
+	// PacketSize is the fixed on-wire size of every mixnet frame.
+	PacketSize = 2048
+	// PayloadCap is the payload bytes one frame carries: PacketSize
+	// less a 12-byte Sphinx-style header of magic(4) + version(1) +
+	// kind(1) + length(2) + crc(4). The rest is zero padding.
+	PayloadCap = PacketSize - 12
+)
+
+// Fixed settings. DefaultCoverInterval fixes the client's observable
+// uplink rate at PacketSize/DefaultCoverInterval bytes per second;
+// DefaultHopDelayMean is the mean of each hop's exponential mix delay.
 const (
 	DefaultCoverInterval = 250 * time.Millisecond
 	DefaultHopDelayMean  = 50 * time.Millisecond
@@ -73,9 +86,6 @@ type Client struct {
 	back     []string // the hops before the exit, reversed: the Via of return frames
 	resolver func(string) (string, bool)
 
-	coverInterval time.Duration
-	hopDelayMean  time.Duration
-
 	ready  bool
 	hasDir bool
 	timer  sim.Timer
@@ -96,12 +106,10 @@ type Client struct {
 // given cascade (entry first, exit last).
 func New(net *vnet.Network, commNode string, cascade []string, resolver func(string) (string, bool)) *Client {
 	c := &Client{
-		net:           net,
-		eng:           net.Engine(),
-		commNode:      commNode,
-		resolver:      resolver,
-		coverInterval: DefaultCoverInterval,
-		hopDelayMean:  DefaultHopDelayMean,
+		net:      net,
+		eng:      net.Engine(),
+		commNode: commNode,
+		resolver: resolver,
 	}
 	c.tickFn = c.tick
 	c.setCascade(append([]string(nil), cascade...))
@@ -114,23 +122,6 @@ func (c *Client) setCascade(cascade []string) {
 	c.back = nil
 	for i := len(cascade) - 2; i >= 0; i-- {
 		c.back = append(c.back, cascade[i])
-	}
-}
-
-// SetCoverInterval overrides the cover clock (tests compress it).
-func (c *Client) SetCoverInterval(d time.Duration) {
-	if d > 0 {
-		c.coverInterval = d
-	}
-}
-
-// CoverInterval returns the cover clock period.
-func (c *Client) CoverInterval() time.Duration { return c.coverInterval }
-
-// SetHopDelayMean overrides the per-hop mean mix delay.
-func (c *Client) SetHopDelayMean(d time.Duration) {
-	if d > 0 {
-		c.hopDelayMean = d
 	}
 }
 
@@ -202,7 +193,7 @@ func (c *Client) armTick() {
 	if !c.ready {
 		return
 	}
-	c.timer = c.eng.Schedule(c.coverInterval, c.tickFn)
+	c.timer = c.eng.Schedule(DefaultCoverInterval, c.tickFn)
 }
 
 // tick transmits exactly one fixed-size packet: the oldest queued
@@ -259,7 +250,7 @@ func (c *Client) enqueue() *sim.Future[struct{}] {
 func (c *Client) sleepMixDelay(p *sim.Proc) {
 	for range c.cascade {
 		u := p.Rand().Float64()
-		d := -float64(c.hopDelayMean) * math.Log(1-u)
+		d := -float64(DefaultHopDelayMean) * math.Log(1-u)
 		p.Sleep(sim.Time(d))
 	}
 }

@@ -192,16 +192,21 @@ func TestCascadeTooShort(t *testing.T) {
 // with a typed error so no Fetch blocks forever on a dead cover clock.
 func TestStopFailsQueuedFrames(t *testing.T) {
 	eng, _, world, c, _, _ := coverRig(7)
-	// A glacial cover clock guarantees the frame is still queued when
-	// Stop lands.
-	c.SetCoverInterval(time.Hour)
 	site, _ := world.Lookup("bbc.co.uk")
+	// 256 KB upstream is 129 frames, 32 s of the 250 ms cover clock:
+	// most of them are still queued when Stop lands at 10 s.
+	const sendBytes = 256 << 10
+	if frames := frameCount(sendBytes); time.Duration(frames)*DefaultCoverInterval <= 10*time.Second {
+		t.Fatalf("%d frames drain before the stop", frames)
+	}
+	returned := false
 	eng.Go("fetcher", func(p *sim.Proc) {
 		if err := c.Start(p); err != nil {
 			t.Errorf("start: %v", err)
 			return
 		}
-		_, err := c.Fetch(p, anonnet.Request{SiteNode: site, RecvBytes: 1 << 10})
+		_, err := c.Fetch(p, anonnet.Request{SiteNode: site, SendBytes: sendBytes, RecvBytes: 1 << 10})
+		returned = true
 		if !errors.Is(err, anonnet.ErrNotReady) {
 			t.Errorf("queued fetch after stop: %v, want ErrNotReady", err)
 		}
@@ -211,24 +216,8 @@ func TestStopFailsQueuedFrames(t *testing.T) {
 		c.Stop()
 	})
 	eng.Run()
-}
-
-// TestTunablesClampInvalid: non-positive overrides are ignored rather
-// than wedging the cover clock.
-func TestTunablesClampInvalid(t *testing.T) {
-	_, net, world, _, _, _ := coverRig(9)
-	c := New(net, "commvm", world.MixCascade(), world.Resolver())
-	c.SetCoverInterval(0)
-	if c.CoverInterval() != DefaultCoverInterval {
-		t.Errorf("zero interval accepted: %v", c.CoverInterval())
-	}
-	c.SetCoverInterval(time.Second)
-	if c.CoverInterval() != time.Second {
-		t.Errorf("interval override lost: %v", c.CoverInterval())
-	}
-	c.SetHopDelayMean(-time.Second)
-	if c.hopDelayMean != DefaultHopDelayMean {
-		t.Errorf("negative hop delay accepted: %v", c.hopDelayMean)
+	if !returned {
+		t.Fatal("fetch still blocked on queued frames after Stop")
 	}
 }
 
@@ -256,8 +245,6 @@ func TestClientSurface(t *testing.T) {
 	if bare := New(net, "commvm", nil, world.Resolver()); bare.ExitIdentity() != "" {
 		t.Fatalf("empty cascade has exit %q", bare.ExitIdentity())
 	}
-	c.SetHopDelayMean(10 * time.Millisecond)
-
 	tr, err := anonnet.NewTransport("mixnet", anonnet.Env{Net: net, World: world, CommNode: "commvm"})
 	if err != nil {
 		t.Fatalf("registry build: %v", err)

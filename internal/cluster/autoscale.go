@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"fmt"
 	"time"
 
 	"nymix/internal/fleet"
-	"nymix/internal/nymerr"
 	"nymix/internal/sim"
 )
 
@@ -27,7 +25,7 @@ const (
 	shrinkDwell = 15 * time.Second
 )
 
-// ScaleEvent is one autoscaler (or operator) action on the pool.
+// ScaleEvent is one autoscaler action on the pool.
 type ScaleEvent struct {
 	At     sim.Time
 	Kind   string // "grow", "cordon", "retire", "abort"
@@ -189,53 +187,6 @@ func (c *Cluster) shrinkVictim() *Host {
 		return nil
 	}
 	return victim
-}
-
-// Cordon marks a host unschedulable: existing nyms keep running, new
-// placements go elsewhere. The rebalancer likewise stops considering
-// the host.
-func (c *Cluster) Cordon(name string) error {
-	h := c.Host(name)
-	if h == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownHost, name)
-	}
-	if h.state != HostActive {
-		return nymerr.Newf(CodeHostIneligible, "cluster: host %q is %v, not cordonable", name, h.state)
-	}
-	h.state = HostCordoned
-	c.logScale("cordon", h.name)
-	c.notify()
-	return nil
-}
-
-// RetireHost cordons, drains, and removes one host by name: every
-// live nym is migrated off through the vault (MigrateNym's checkpoint
-// fallback covers a nym that crashes mid-drain), then the empty host
-// leaves the pool. It blocks the calling process until the drain
-// completes and errors if the drain had to be aborted (the rest of
-// the pool could not absorb the host's nyms).
-func (c *Cluster) RetireHost(p *sim.Proc, name string) error {
-	h := c.Host(name)
-	if h == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownHost, name)
-	}
-	if h.state != HostActive && h.state != HostCordoned {
-		return nymerr.Newf(CodeHostIneligible, "cluster: host %q is %v, not retirable", name, h.state)
-	}
-	if c.ActiveHosts() <= 1 && h.state == HostActive {
-		return nymerr.Newf(CodeLastActiveHost, "cluster: refusing to retire the last active host %q", name)
-	}
-	if c.draining {
-		return nymerr.New(CodeDrainConflict, "cluster: another drain is already in flight")
-	}
-	c.draining = true
-	ok := c.retireHost(p, h)
-	c.draining = false
-	c.onChange()
-	if !ok {
-		return nymerr.Newf(CodeDrainStuck, "cluster: drain of %q aborted: the pool cannot absorb its nyms", name)
-	}
-	return nil
 }
 
 // retireHost walks one host through cordon -> drain -> retire,

@@ -4,7 +4,7 @@ import "nymix/internal/nymerr"
 
 // Registered error codes for the cluster layer. Host-side failures
 // arrive already typed from fleet/core; these codes cover placement,
-// migration, the sweep coordinator, and the elastic pool.
+// migration and the sweep coordinator.
 var (
 	// CodeUnknownHost: no pool member with that name.
 	CodeUnknownHost = nymerr.Register("cluster.unknown_host",
@@ -43,21 +43,6 @@ var (
 	// CodeSweepsRunning: a sweep coordinator is already installed.
 	CodeSweepsRunning = nymerr.Register("cluster.sweeps_running",
 		"a cluster sweep coordinator is already installed")
-	// CodeHostIneligible: the host's lifecycle state forbids the
-	// requested transition (cordon/uncordon/retire).
-	CodeHostIneligible = nymerr.Register("cluster.host_ineligible",
-		"host lifecycle state forbids the requested transition")
-	// CodeLastActiveHost: retiring the host would leave zero active
-	// hosts.
-	CodeLastActiveHost = nymerr.Register("cluster.last_active_host",
-		"refusing to retire the last active host")
-	// CodeDrainConflict: another drain is already in flight.
-	CodeDrainConflict = nymerr.Register("cluster.drain_conflict",
-		"another drain is already in flight")
-	// CodeDrainStuck: the drain aborted because the rest of the pool
-	// cannot absorb the host's nyms.
-	CodeDrainStuck = nymerr.Register("cluster.drain_stuck",
-		"drain aborted; the pool cannot absorb the host's nyms")
 )
 
 // Errors: typed sentinels kept as errors.Is targets for existing

@@ -39,8 +39,7 @@
 //     the shrink watermark cordons its least-loaded host, drains every
 //     live nym off it via MigrateNym, and retires it (down to
 //     MinHosts). Hosts walk
-//     Active -> Cordoned -> Draining -> Retired; operators can drive
-//     the same path by hand with Cordon/RetireHost.
+//     Active -> Cordoned -> Draining -> Retired.
 //   - Preemption. A high-priority launch stuck at the head of the
 //     cluster-wide queue past Config.PreemptDwell sacrifices strictly-lower
 //     classes on the cheapest host (fleet.PreemptOne: ephemeral nyms

@@ -93,11 +93,11 @@ func TestClusterSweepPausesCordonedHost(t *testing.T) {
 			t.Errorf("await: %v", err)
 			return
 		}
-		cordoned := c.Hosts()[0].Name()
-		if err := c.Cordon(cordoned); err != nil {
-			t.Errorf("cordon: %v", err)
-			return
-		}
+		// Cordon the way the autoscaler's drain does: the host stays
+		// in the pool but leaves Active duty.
+		h := c.Hosts()[0]
+		h.state = HostCordoned
+		cordoned := h.Name()
 		if err := c.StartSweeps(SweepConfig{
 			Interval: 10 * time.Second, Cadence: fleet.Cadence{Mode: fleet.CadenceAll},
 		}); err != nil {

@@ -37,20 +37,6 @@ func (o Options) WireFootprint() float64 {
 	return sum
 }
 
-// StartNymAsync launches a nymbox on its own simulated process and
-// returns a future for the running nym. StartNym blocks its caller for
-// the whole multi-second startup; the async form lets one supervisor
-// (the fleet orchestrator) drive many launches concurrently. The name
-// is reserved for the duration of the launch, so two in-flight starts
-// can never collide on one name.
-func (m *Manager) StartNymAsync(name string, opts Options) *sim.Future[*Nym] {
-	fut := sim.NewFuture[*Nym](m.eng)
-	m.eng.Go("start/"+name, func(bp *sim.Proc) {
-		fut.Complete(m.StartNym(bp, name, opts))
-	})
-	return fut
-}
-
 // TerminateNymAsync tears a nymbox down on its own simulated process.
 // The secure memory wipe charges time proportional to the resident
 // set, so parallel teardown of a large fleet overlaps the wipes.

@@ -797,12 +797,9 @@ func TestTerminatePartialFailureStillRetiresNym(t *testing.T) {
 func TestConcurrentStartsCannotShareName(t *testing.T) {
 	eng, m := newManager(t)
 	var err1, err2 error
-	run(t, eng, func(p *sim.Proc) {
-		f1 := m.StartNymAsync("dup", Options{})
-		f2 := m.StartNymAsync("dup", Options{})
-		_, err1 = sim.Await(p, f1)
-		_, err2 = sim.Await(p, f2)
-	})
+	eng.Go("start1", func(p *sim.Proc) { _, err1 = m.StartNym(p, "dup", Options{}) })
+	eng.Go("start2", func(p *sim.Proc) { _, err2 = m.StartNym(p, "dup", Options{}) })
+	eng.Run()
 	if (err1 == nil) == (err2 == nil) {
 		t.Fatalf("want exactly one winner: err1=%v err2=%v", err1, err2)
 	}

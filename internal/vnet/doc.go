@@ -5,10 +5,9 @@
 //	         counters and optional WireTap decorators, the ground
 //	         truth for per-link wire accounting.
 //	Link   — a point-to-point pipe with one-way latency, shared
-//	         capacity, per-direction up/down state and loss rate, a
-//	         passive Capture tap, and a pluggable DPI engine that can
-//	         drop or throttle classified flows (a programmable
-//	         censor).
+//	         capacity, up/down state, a loss rate, a passive Capture
+//	         tap, and a pluggable DPI engine that can drop or throttle
+//	         classified flows (a programmable censor).
 //	Router — a forwarding node, optionally labelled with a region so
 //	         multi-region topologies can be severed and healed along
 //	         region boundaries.
@@ -32,12 +31,14 @@
 // Partitions extend the same idea to whole regions: a severed region
 // pair removes every route crossing the boundary in that direction,
 // fails in-flight flows with a typed vnet.partitioned code, and can
-// be scripted ahead of time with a Fault schedule (Network.Play).
+// be scripted ahead of time with a Fault schedule of severs and heals
+// (Network.Play). Severs are the only asymmetric impairment: a link
+// goes down in both directions at once.
 //
 // Routes are memoized per (source, destination, protocol) segment, so
 // a flow's path is a map lookup rather than a BFS. Every mutator that
-// can change a route clears the memo: Connect, SetDown, SetDownOneWay,
-// SeverRegions, SeverRegionsOneWay and HealRegions on the fabric, and
+// can change a route clears the memo: Connect, SetDown, SeverRegions,
+// SeverRegionsOneWay and HealRegions on the fabric, and
 // SetForwarding, SetPolicy, SetMasquerade, SetRegion and AddTag on a
 // node. A ForwardPolicy must therefore read only its arguments and
 // state that changes together with one of those mutators.

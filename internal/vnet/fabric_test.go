@@ -117,49 +117,6 @@ func TestWireTapIntervalAccounting(t *testing.T) {
 	}
 }
 
-func TestSetDownOneWayAsymmetric(t *testing.T) {
-	eng, n, l := twoNodeNet(LinkConfig{Capacity: 1e6})
-	a, b := l.Endpoints()
-	l.SetDownOneWay(n, a, true)
-	if !l.Down() || !l.DownFrom(a) || l.DownFrom(b) {
-		t.Fatalf("down state: Down=%v DownFrom(a)=%v DownFrom(b)=%v", l.Down(), l.DownFrom(a), l.DownFrom(b))
-	}
-	if n.CanReach("a", "b", "probe") {
-		t.Fatal("a should not reach b")
-	}
-	if !n.CanReach("b", "a", "probe") {
-		t.Fatal("b should still reach a")
-	}
-	futAB := n.StartTransfer(TransferOpts{From: "a", To: "b", Bytes: 1000, Proto: "http"})
-	futBA := n.StartTransfer(TransferOpts{From: "b", To: "a", Bytes: 1000, Proto: "http"})
-	eng.Run()
-	if _, err := futAB.Value(); !errors.Is(err, ErrNoRoute) {
-		t.Fatalf("a->b err = %v, want ErrNoRoute", err)
-	}
-	if _, err := futBA.Value(); err != nil {
-		t.Fatalf("b->a err = %v", err)
-	}
-	l.SetDownOneWay(n, a, false)
-	if l.Down() || !n.CanReach("a", "b", "probe") {
-		t.Fatal("one-way heal did not restore the direction")
-	}
-}
-
-func TestOneWayDownKillsOnlyCrossingFlows(t *testing.T) {
-	eng, n, l := twoNodeNet(LinkConfig{Capacity: 1e6})
-	a, _ := l.Endpoints()
-	futAB := n.StartTransfer(TransferOpts{From: "a", To: "b", Bytes: 5e6, Proto: "http", NoHandshake: true})
-	futBA := n.StartTransfer(TransferOpts{From: "b", To: "a", Bytes: 5e6, Proto: "http", NoHandshake: true})
-	eng.Schedule(1*time.Second, func() { l.SetDownOneWay(n, a, true) })
-	eng.Run()
-	if _, err := futAB.Value(); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("a->b err = %v, want ErrLinkDown", err)
-	}
-	if _, err := futBA.Value(); err != nil {
-		t.Fatalf("b->a should have survived the one-way fault: %v", err)
-	}
-}
-
 func TestActivateRecheckDuringHandshake(t *testing.T) {
 	// The link drops during the connection handshake window, before
 	// the flow has attached — the activation re-check must still kill
@@ -389,6 +346,23 @@ func TestSeverRegionsOneWayIsAsymmetric(t *testing.T) {
 	}
 }
 
+// TestSeverOneWayKillsOnlyCrossingFlows: an asymmetric partition
+// fails the in-flight flows that cross it in the severed direction and
+// leaves the reverse flows running.
+func TestSeverOneWayKillsOnlyCrossingFlows(t *testing.T) {
+	eng, n := regionedChain()
+	futAB := n.StartTransfer(TransferOpts{From: "a", To: "b", Bytes: 5e6, Proto: "http", NoHandshake: true})
+	futBA := n.StartTransfer(TransferOpts{From: "b", To: "a", Bytes: 5e6, Proto: "http", NoHandshake: true})
+	eng.Schedule(1*time.Second, func() { n.SeverRegionsOneWay("east", "west") })
+	eng.Run()
+	if _, err := futAB.Value(); !errors.Is(err, ErrPartitioned) {
+		t.Fatalf("a->b err = %v, want ErrPartitioned", err)
+	}
+	if _, err := futBA.Value(); err != nil {
+		t.Fatalf("b->a should have survived the one-way sever: %v", err)
+	}
+}
+
 func TestSeverKillsInFlightFlows(t *testing.T) {
 	eng, n := regionedChain()
 	cross := n.StartTransfer(TransferOpts{From: "a", To: "b", Bytes: 5e6, Proto: "http", NoHandshake: true})
@@ -427,29 +401,26 @@ func TestSeverIgnoresUnlabelledAndDegenerate(t *testing.T) {
 }
 
 func TestFaultSchedulePlaysInOrder(t *testing.T) {
-	eng, n, la, _ := chainNet(LinkConfig{Capacity: 1e6})
-	a, r := la.Endpoints()
-	a.SetRegion("east")
-	_ = r
-	n.Node("b").SetRegion("west")
-	dpi := NewDPI(DropProto("tor"))
+	eng, n := regionedChain()
+	// Listed out of order: Play fires by At, not by argument order.
 	n.Play(
-		LinkDownFault(1*time.Second, "a", "r"),
-		LinkUpFault(2*time.Second, "a", "r"),
-		LossFault(3*time.Second, "a", "r", 0.25),
-		DPIFault(4*time.Second, "r", "b", dpi),
-		SeverOneWayFault(5*time.Second, "east", "west"),
-		SeverFault(6*time.Second, "east", "west"),
-		HealFault(7*time.Second, "east", "west"),
+		HealFault(3*time.Second, "east", "west"),
+		SeverOneWayFault(1*time.Second, "east", "west"),
+		SeverFault(2*time.Second, "east", "west"),
 	)
+	eng.RunUntil(sim.Time(1500 * time.Millisecond))
+	if !n.RegionSevered("east", "west") || n.RegionSevered("west", "east") {
+		t.Fatal("one-way sever did not land alone")
+	}
+	eng.RunUntil(sim.Time(2500 * time.Millisecond))
+	if !n.RegionSevered("west", "east") {
+		t.Fatal("two-way sever did not land")
+	}
 	eng.Run()
 	log := n.FaultLog()
-	if len(log) != 7 {
-		t.Fatalf("fault log has %d entries, want 7", len(log))
-	}
-	wantLabels := []string{
-		"link down a--r", "link up a--r", "loss a--r 25%", "dpi r--b",
-		"sever east->west", "sever east<->west", "heal east<->west",
+	wantLabels := []string{"sever east->west", "sever east<->west", "heal east<->west"}
+	if len(log) != len(wantLabels) {
+		t.Fatalf("fault log has %d entries, want %d", len(log), len(wantLabels))
 	}
 	for i, f := range log {
 		if f.Label != wantLabels[i] {
@@ -459,37 +430,9 @@ func TestFaultSchedulePlaysInOrder(t *testing.T) {
 			t.Fatalf("log[%d] at %v", i, f.At)
 		}
 	}
-	if la.Down() {
-		t.Fatal("link should be back up")
-	}
-	if la.Loss(a) != 0.25 {
-		t.Fatalf("loss = %v", la.Loss(a))
-	}
-	if n.LinkBetween("r", "b").DPI() != dpi {
-		t.Fatal("DPIFault did not install the engine")
-	}
-	if n.RegionSevered("east", "west") {
+	if n.RegionSevered("east", "west") || n.RegionSevered("west", "east") {
 		t.Fatal("heal did not land")
 	}
-}
-
-func TestLinkBetweenAndMustLink(t *testing.T) {
-	_, n, la, _ := chainNet(LinkConfig{})
-	if n.LinkBetween("a", "r") != la || n.LinkBetween("r", "a") != la {
-		t.Fatal("LinkBetween should match either order")
-	}
-	if n.LinkBetween("a", "b") != nil {
-		t.Fatal("a and b are not adjacent")
-	}
-	if n.LinkBetween("a", "ghost") != nil {
-		t.Fatal("unknown node should yield nil")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mustLink should panic on a missing link")
-		}
-	}()
-	n.mustLink("a", "b")
 }
 
 func TestTapLedgerDoubleEntryAcrossFailures(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 
 // Fault is one scripted event in a fault schedule: at At (relative to
 // when the schedule is played), Apply mutates the fabric. The
-// constructors below cover the common impairments; arbitrary faults
-// can be built directly.
+// constructors below sever and heal region boundaries; any other
+// fault is built directly.
 type Fault struct {
 	At    time.Duration
 	Label string
@@ -55,55 +55,4 @@ func SeverOneWayFault(at time.Duration, from, to string) Fault {
 func HealFault(at time.Duration, a, b string) Fault {
 	return Fault{At: at, Label: fmt.Sprintf("heal %s<->%s", a, b),
 		Apply: func(n *Network) { n.HealRegions(a, b) }}
-}
-
-// LinkDownFault takes the first link between the named nodes down in
-// both directions. It panics at apply time if no such link exists —
-// a schedule naming a missing link is a scripting bug.
-func LinkDownFault(at time.Duration, a, b string) Fault {
-	return Fault{At: at, Label: fmt.Sprintf("link down %s--%s", a, b),
-		Apply: func(n *Network) { n.mustLink(a, b).SetDown(n, true) }}
-}
-
-// LinkUpFault brings the first link between the named nodes back up.
-func LinkUpFault(at time.Duration, a, b string) Fault {
-	return Fault{At: at, Label: fmt.Sprintf("link up %s--%s", a, b),
-		Apply: func(n *Network) { n.mustLink(a, b).SetDown(n, false) }}
-}
-
-// LossFault sets the loss rate on the first link between the named
-// nodes (both directions, flows admitted after the fault).
-func LossFault(at time.Duration, a, b string, loss float64) Fault {
-	return Fault{At: at, Label: fmt.Sprintf("loss %s--%s %.0f%%", a, b, loss*100),
-		Apply: func(n *Network) { n.mustLink(a, b).SetLoss(loss) }}
-}
-
-// DPIFault installs a DPI engine on the first link between the named
-// nodes (nil removes it).
-func DPIFault(at time.Duration, a, b string, e *DPIEngine) Fault {
-	return Fault{At: at, Label: fmt.Sprintf("dpi %s--%s", a, b),
-		Apply: func(n *Network) { n.mustLink(a, b).SetDPI(n, e) }}
-}
-
-// LinkBetween returns the first link joining the two named nodes (in
-// either order), or nil.
-func (n *Network) LinkBetween(a, b string) *Link {
-	na, nb := n.nodes[a], n.nodes[b]
-	if na == nil || nb == nil {
-		return nil
-	}
-	for _, i := range na.ifaces {
-		if i.Peer().node == nb {
-			return i.link
-		}
-	}
-	return nil
-}
-
-func (n *Network) mustLink(a, b string) *Link {
-	l := n.LinkBetween(a, b)
-	if l == nil {
-		panic(fmt.Sprintf("vnet: no link between %q and %q", a, b))
-	}
-	return l
 }

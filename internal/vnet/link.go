@@ -15,22 +15,23 @@ type LinkConfig struct {
 }
 
 // Link direction indices: dirAB is traversal from endpoint a toward
-// endpoint b, dirBA the reverse. Latency and capacity are symmetric;
-// up/down state and loss are per direction, which is what makes
-// asymmetric partitions expressible.
+// endpoint b, dirBA the reverse. Latency, capacity and up/down state
+// are symmetric; loss is stored per direction but SetLoss always sets
+// both. Wire and ledger bytes are counted per direction. Asymmetric
+// partitions live at the router level (SeverRegionsOneWay).
 const (
 	dirAB = 0
 	dirBA = 1
 )
 
 // Link is a point-to-point link between two NICs. Capacity is shared
-// by both directions (half-duplex fluid model); administrative state
-// and loss are tracked per direction.
+// by both directions (half-duplex fluid model), and the link is up or
+// down as a whole.
 type Link struct {
 	id       int
 	a, b     *NIC
 	cfg      LinkConfig
-	down     [2]bool
+	down     bool
 	loss     [2]float64
 	dpi      *DPIEngine
 	captures []*Capture
@@ -113,34 +114,13 @@ func (l *Link) rxNIC(dir int) *NIC {
 // SetDown takes the link down (true) or up (false) in both directions.
 // Taking a link down fails every transfer currently crossing it.
 func (l *Link) SetDown(n *Network, down bool) {
-	l.down[dirAB] = down
-	l.down[dirBA] = down
+	l.down = down
 	n.invalidateRoutes()
 	if !down {
 		return
 	}
 	n.failActive(l, func(*Transfer) bool { return true }, ErrLinkDown)
 }
-
-// SetDownOneWay takes the direction transmitted from `from` down
-// (true) or up (false), leaving the reverse direction untouched: an
-// asymmetric impairment. Taking a direction down fails every transfer
-// whose path crosses the link in that direction.
-func (l *Link) SetDownOneWay(n *Network, from *Node, down bool) {
-	dir := l.dirFrom(from)
-	l.down[dir] = down
-	n.invalidateRoutes()
-	if !down {
-		return
-	}
-	n.failActive(l, func(t *Transfer) bool { return t.crossesDir(l, dir) }, ErrLinkDown)
-}
-
-// Down reports whether the link is down in either direction.
-func (l *Link) Down() bool { return l.down[dirAB] || l.down[dirBA] }
-
-// DownFrom reports whether the direction transmitted from nd is down.
-func (l *Link) DownFrom(nd *Node) bool { return l.down[l.dirFrom(nd)] }
 
 // SetLoss sets the link's loss rate — the fraction of wire bytes lost
 // per crossing, which retransmission adds to a flow's wire volume — in

@@ -28,7 +28,7 @@ type Network struct {
 	// successful routes of transfers, keyed by From, Via, To and Proto
 	// as length-prefixed names; routeKey is its reused key buffer.
 	// Every mutator that can change a route clears both through
-	// invalidateRoutes: Connect, SetDown, SetDownOneWay, SeverRegions,
+	// invalidateRoutes: Connect, SetDown, SeverRegions,
 	// SeverRegionsOneWay and HealRegions on the fabric, and
 	// SetForwarding, SetPolicy, SetMasquerade, SetRegion and AddTag on
 	// a node. Link loss and DPI are read live from the hops at

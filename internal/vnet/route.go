@@ -161,8 +161,8 @@ type bfsVisit struct {
 	in   *NIC // NIC we arrived on (nil at src)
 }
 
-// bfs searches from src to dst honoring per-direction link state,
-// region severs, and transit policies. Deterministic: neighbors
+// bfs searches from src to dst honoring link up/down state, region
+// severs, and transit policies. Deterministic: neighbors
 // expand in link-creation order. When the only thing standing between
 // src and dst is a severed region boundary, the error is
 // vnet.partitioned rather than vnet.no_route, so callers can tell a
@@ -190,7 +190,7 @@ func (n *Network) bfs(src, dst *Node, proto string) ([]hop, error) {
 		v := queue[q]
 		// A transit node must permit forwarding; endpoints are exempt.
 		for _, out := range v.node.ifaces {
-			if out.link.down[out.link.dirFrom(v.node)] {
+			if out.link.down {
 				continue
 			}
 			peer := out.Peer()

@@ -53,7 +53,7 @@ func refSegment(n *Network, src, dst *Node, proto string) ([]*Link, error) {
 	for q := 0; q < len(queue); q++ {
 		v := queue[q]
 		for _, out := range v.node.ifaces {
-			if out.link.down[out.link.dirFrom(v.node)] {
+			if out.link.down {
 				continue
 			}
 			peer := out.Peer()
@@ -165,7 +165,7 @@ func routeMemoScenario(data []byte) error {
 	}
 	link := func() *Link { return n.links[in.next(len(n.links))] }
 	for step := 0; step < 120 && !in.empty(); step++ {
-		switch in.next(14) {
+		switch in.next(13) {
 		case 0:
 			connect(node(), node())
 		case 1:
@@ -176,33 +176,26 @@ func routeMemoScenario(data []byte) error {
 				delete(allowed, l)
 			}
 		case 2:
-			l := link()
-			from, _ := l.Endpoints()
-			if in.next(2) == 0 {
-				_, from = l.Endpoints()
-			}
-			l.SetDownOneWay(n, from, in.next(2) == 0)
-		case 3:
 			n.SeverRegions(regions[in.next(4)], regions[in.next(4)])
-		case 4:
+		case 3:
 			n.SeverRegionsOneWay(regions[in.next(4)], regions[in.next(4)])
-		case 5:
+		case 4:
 			n.HealRegions(regions[in.next(4)], regions[in.next(4)])
-		case 6:
+		case 5:
 			node().SetForwarding(in.next(2) == 0)
-		case 7:
+		case 6:
 			if in.next(2) == 0 {
 				node().SetPolicy(natPolicy)
 			} else {
 				node().SetPolicy(nil)
 			}
-		case 8:
+		case 7:
 			node().SetMasquerade(in.next(2) == 0)
-		case 9:
+		case 8:
 			node().SetRegion(regions[in.next(4)])
-		case 10:
+		case 9:
 			node().AddTag("lan")
-		case 11:
+		case 10:
 			link().SetLoss(float64(in.next(5)) / 10)
 		default:
 			// Sweep every ordered pair, so a memo entry that a

@@ -79,17 +79,6 @@ func (t *Transfer) advance() {
 	}
 }
 
-// crossesDir reports whether the flow's path crosses l in direction
-// dir.
-func (t *Transfer) crossesDir(l *Link, dir int) bool {
-	for _, h := range t.hops {
-		if h.link == l && h.dir == dir {
-			return true
-		}
-	}
-	return false
-}
-
 // hopOn returns the flow's first hop across l, or nil.
 func (t *Transfer) hopOn(l *Link) *hop {
 	for i := range t.hops {
@@ -179,11 +168,11 @@ func (n *Network) StartTransfer(opts TransferOpts) *sim.Future[Result] {
 }
 
 func (n *Network) activate(t *Transfer) {
-	// The fabric may have changed during the handshake window: a
-	// direction gone down or a region severed kills the flow before
-	// any byte moves.
+	// The fabric may have changed during the handshake window: a link
+	// gone down or a region severed kills the flow before any byte
+	// moves.
 	for _, h := range t.hops {
-		if h.link.down[h.dir] {
+		if h.link.down {
 			t.phase = done
 			t.fut.Complete(Result{Started: t.started, Ended: n.eng.Now()}, ErrLinkDown)
 			return
