@@ -39,9 +39,9 @@ type fluidLink struct {
 }
 
 // fluidMix runs a seeded mix of overlapping transfers over a
-// two-router topology with finite and unlimited links, a lossy access
-// link, per-flow MaxRate caps, and Via paths that cross a link twice
-// (once in each direction).
+// two-router topology with finite and unlimited links, per-flow
+// MaxRate caps, and Via paths that cross a link twice (once in each
+// direction).
 func fluidMix() fluidGolden {
 	eng := sim.NewEngine(19)
 	n := New(eng)
@@ -51,7 +51,7 @@ func fluidMix() fluidGolden {
 	ms := time.Millisecond
 	n.Connect(h0, r1.Node, LinkConfig{Latency: 2 * ms, Capacity: 2e6})
 	n.Connect(h1, r1.Node, LinkConfig{Latency: 1 * ms})
-	n.Connect(h2, r1.Node, LinkConfig{Latency: 3 * ms, Capacity: 1.5e6}).SetLoss(0.05)
+	n.Connect(h2, r1.Node, LinkConfig{Latency: 3 * ms, Capacity: 1.5e6})
 	n.Connect(r1.Node, r2.Node, LinkConfig{Latency: 10 * ms, Capacity: 3e6})
 	n.Connect(r2.Node, s0, LinkConfig{Latency: 5 * ms})
 	n.Connect(r2.Node, s1, LinkConfig{Latency: 4 * ms, Capacity: 1e6})
