@@ -164,7 +164,7 @@ const LANTag = "lan"
 // ConnectUplink right after its Connect, a commLinks entry is added
 // by WireNymbox right after its Connect and removed by DestroyVM
 // right after the link's SetDown, and the LAN tag is set by AddTag.
-func (h *Host) forward(in, out *vnet.Iface, proto string, dst *vnet.Node) bool {
+func (h *Host) forward(in, out *vnet.NIC, proto string, dst *vnet.Node) bool {
 	if in == nil || out == nil || h.uplink == nil {
 		return false
 	}

@@ -1,13 +1,14 @@
 // Package vnet simulates the network fabric underneath Nymix as a
 // composition of three layers, in the netem idiom:
 //
-//	NIC    — an attachment point on a node; carries always-on byte
-//	         counters and optional WireTap decorators, the ground
-//	         truth for per-link wire accounting.
+//	NIC    — an attachment point on a node; WireTap decorators on it
+//	         count the bytes that cross it from the moment they are
+//	         attached.
 //	Link   — a point-to-point pipe with one-way latency, shared
-//	         capacity, up/down state, a loss rate, a passive Capture
-//	         tap, and a pluggable DPI engine that can drop or throttle
-//	         classified flows (a programmable censor).
+//	         capacity, up/down state, per-direction wire and ledger
+//	         byte counts, a passive Capture tap, and a pluggable DPI
+//	         engine that can drop or throttle classified flows (a
+//	         programmable censor).
 //	Router — a forwarding node, optionally labelled with a region so
 //	         multi-region topologies can be severed and healed along
 //	         region boundaries.
@@ -20,9 +21,10 @@
 // Bulk data moves as fluid flows: concurrent transfers sharing a link
 // receive max-min fair rates, recomputed whenever a flow starts or
 // finishes. That reproduces the contention behaviour behind Figure 5
-// without packet-level detail. As flows progress, each crossed NIC is
-// credited with the bytes that moved, so tap totals and the per-flow
-// detach ledger double-enter the same wire.
+// without packet-level detail. As flows progress, each crossed link and
+// the taps on its two NICs are credited with the bytes that moved, so
+// tap totals, link wire and the per-flow detach ledger double-enter the
+// same bytes.
 //
 // Isolation — the property validated in section 5.1 — is enforced
 // structurally: routes exist only where links exist and every

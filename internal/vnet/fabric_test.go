@@ -28,25 +28,25 @@ func TestNICCountersAndAccessors(t *testing.T) {
 	if a.Name() != "a" || b.Name() != "b" {
 		t.Fatalf("endpoints = %s, %s", a.Name(), b.Name())
 	}
-	if l.Config().Capacity != 1e6 {
-		t.Fatalf("config capacity = %v", l.Config().Capacity)
+	if l.cfg.Capacity != 1e6 {
+		t.Fatalf("config capacity = %v", l.cfg.Capacity)
 	}
-	if l.A().Node() != a || l.B().Node() != b {
-		t.Fatal("A/B NICs attached to wrong nodes")
+	if l.a.node != a || l.b.node != b {
+		t.Fatal("a/b NICs attached to wrong nodes")
 	}
-	if l.A().Peer() != l.B() || l.B().Peer() != l.A() {
+	if l.a.Peer() != l.b || l.b.Peer() != l.a {
 		t.Fatal("Peer does not cross the link")
 	}
-	if l.A().Link() != l {
+	if l.a.Link() != l {
 		t.Fatal("NIC.Link mismatch")
 	}
-	if l.NICFor(a) != l.A() || l.NICFor(b) != l.B() {
+	if l.NICFor(a) != l.a || l.NICFor(b) != l.b {
 		t.Fatal("NICFor endpoint mismatch")
 	}
 	if l.NICFor(n.AddNode("stranger")) != nil {
 		t.Fatal("NICFor should be nil for a non-endpoint")
 	}
-	if len(a.Ifaces()) != 1 || a.Ifaces()[0] != l.A() {
+	if len(a.Ifaces()) != 1 || a.Ifaces()[0] != l.a {
 		t.Fatal("Ifaces mismatch")
 	}
 	if n.Engine() != eng {
@@ -60,24 +60,25 @@ func TestNICCountersAndAccessors(t *testing.T) {
 		t.Fatal("tag mismatch")
 	}
 
+	tapA, tapB := l.a.WireTap(), l.b.WireTap()
 	fut := n.StartTransfer(TransferOpts{From: "a", To: "b", Bytes: 1e6, Proto: "http"})
 	eng.Run()
 	if _, err := fut.Value(); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.A().TxBytes(); got != 1e6 {
+	if got := tapA.TxBytes(); got != 1e6 {
 		t.Fatalf("a tx = %d, want 1e6", got)
 	}
-	if got := l.B().RxBytes(); got != 1e6 {
+	if got := tapB.RxBytes(); got != 1e6 {
 		t.Fatalf("b rx = %d, want 1e6", got)
 	}
-	if got := l.A().RxBytes(); got != 0 {
+	if got := tapA.RxBytes(); got != 0 {
 		t.Fatalf("a rx = %d, want 0", got)
 	}
-	if got := l.WireBytesFrom(a); got != 1e6 {
+	if got := round64(l.wire[dirAB]); got != 1e6 {
 		t.Fatalf("wire from a = %d", got)
 	}
-	if got := l.WireBytesFrom(b); got != 0 {
+	if got := round64(l.wire[dirBA]); got != 0 {
 		t.Fatalf("wire from b = %d", got)
 	}
 	if l.WireBytesTotal() != l.LedgerBytesTotal() {
@@ -87,10 +88,7 @@ func TestNICCountersAndAccessors(t *testing.T) {
 
 func TestWireTapIntervalAccounting(t *testing.T) {
 	eng, n, l := twoNodeNet(LinkConfig{Capacity: 1e6})
-	early := l.A().WireTap()
-	if early.NIC() != l.A() {
-		t.Fatal("tap NIC mismatch")
-	}
+	early := l.a.WireTap()
 	var late *WireTap
 	// The flow takes ~2s; attach the second tap halfway through. Taps
 	// are credited at settle points, so force a settle (any flow
@@ -100,7 +98,7 @@ func TestWireTapIntervalAccounting(t *testing.T) {
 	eng.Schedule(999*time.Millisecond, func() {
 		n.StartTransfer(TransferOpts{From: "b", To: "a", Bytes: 1, Proto: "http", NoHandshake: true})
 	})
-	eng.Schedule(1*time.Second, func() { late = l.A().WireTap() })
+	eng.Schedule(1*time.Second, func() { late = l.a.WireTap() })
 	eng.Run()
 	if got := early.TxBytes(); got != 2e6 {
 		t.Fatalf("early tap tx = %d, want 2e6", got)
@@ -112,8 +110,8 @@ func TestWireTapIntervalAccounting(t *testing.T) {
 		t.Fatal("Bytes != Tx+Rx")
 	}
 	// The early tap saw everything the link moved a→b.
-	if a, _ := l.Endpoints(); early.TxBytes() != l.WireBytesFrom(a) {
-		t.Fatalf("tap %d != link wire %d", early.TxBytes(), l.WireBytesFrom(a))
+	if early.TxBytes() != round64(l.wire[dirAB]) {
+		t.Fatalf("tap %d != link wire %d", early.TxBytes(), round64(l.wire[dirAB]))
 	}
 }
 
@@ -130,66 +128,12 @@ func TestActivateRecheckDuringHandshake(t *testing.T) {
 	}
 }
 
-func TestLossInflatesWireVolume(t *testing.T) {
-	eng, n, l := twoNodeNet(LinkConfig{Capacity: 1e6})
-	l.SetLoss(0.2)
-	a, _ := l.Endpoints()
-	if l.Loss(a) != 0.2 {
-		t.Fatalf("loss = %v", l.Loss(a))
-	}
-	fut := n.StartTransfer(TransferOpts{From: "a", To: "b", Bytes: 1e6, Proto: "http", NoHandshake: true})
-	eng.Run()
-	res, err := fut.Value()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Retransmission: wire = 1e6 / (1-0.2) = 1.25e6 at 1e6 B/s.
-	approx(t, res.Duration(), 1250*time.Millisecond, 5*time.Millisecond, "lossy duration")
-	if got := l.WireBytesTotal(); got != 1.25e6 {
-		t.Fatalf("wire = %d, want 1.25e6", got)
-	}
-	if l.LedgerBytesTotal() != l.WireBytesTotal() {
-		t.Fatal("ledger != wire")
-	}
-}
-
-func TestSetLossAffectsNewFlowsOnlyAndClamps(t *testing.T) {
-	eng, n, l := twoNodeNet(LinkConfig{Capacity: 1e6})
-	inflight := n.StartTransfer(TransferOpts{From: "a", To: "b", Bytes: 1e6, Proto: "http", NoHandshake: true})
-	eng.Schedule(100*time.Millisecond, func() { l.SetLoss(0.5) })
-	var after *sim.Future[Result]
-	eng.Schedule(1100*time.Millisecond, func() {
-		after = n.StartTransfer(TransferOpts{From: "a", To: "b", Bytes: 1e6, Proto: "http", NoHandshake: true})
-	})
-	eng.Run()
-	r1, err := inflight.Value()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Admitted loss-free: 1s, not 2s.
-	approx(t, r1.Duration(), 1*time.Second, 10*time.Millisecond, "in-flight duration")
-	r2, err := after.Value()
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, r2.Duration(), 2*time.Second, 10*time.Millisecond, "post-SetLoss duration")
-
-	l.SetLoss(5)
-	if a, _ := l.Endpoints(); l.Loss(a) != 0.9 {
-		t.Fatalf("loss should clamp to 0.9, got %v", l.Loss(a))
-	}
-	l.SetLoss(-1)
-	if a, _ := l.Endpoints(); l.Loss(a) != 0 {
-		t.Fatalf("loss should clamp to 0, got %v", l.Loss(a))
-	}
-}
-
 func TestDPIDropIsSilentAndTyped(t *testing.T) {
 	eng, n, l := twoNodeNet(LinkConfig{Capacity: 1e6})
 	dpi := NewDPI(DropProto("tor"))
 	l.SetDPI(n, dpi)
-	if l.DPI() != dpi {
-		t.Fatal("DPI accessor mismatch")
+	if l.dpi != dpi {
+		t.Fatal("SetDPI did not install the engine")
 	}
 	tor := n.StartTransfer(TransferOpts{From: "a", To: "b", Bytes: 1e6, Proto: "tor"})
 	web := n.StartTransfer(TransferOpts{From: "a", To: "b", Bytes: 1e6, Proto: "https"})
@@ -266,7 +210,7 @@ func TestSetDPIMidRunTearsDownClassifiedFlows(t *testing.T) {
 	}
 	// Removing the engine lets tor traffic through again.
 	l.SetDPI(n, nil)
-	if l.DPI() != nil {
+	if l.dpi != nil {
 		t.Fatal("SetDPI(nil) did not remove the engine")
 	}
 	fut := n.StartTransfer(TransferOpts{From: "a", To: "b", Bytes: 1000, Proto: "tor"})
@@ -311,7 +255,7 @@ func regionedChain() (*sim.Engine, *Network) {
 func TestSeverRegionsBlocksNonAdjacentRegions(t *testing.T) {
 	eng, n := regionedChain()
 	n.SeverRegions("east", "west")
-	if !n.RegionSevered("east", "west") || !n.RegionSevered("west", "east") {
+	if !n.severed[regionPair{"east", "west"}] || !n.severed[regionPair{"west", "east"}] {
 		t.Fatal("sever map incomplete")
 	}
 	if n.CanReach("a", "b", "probe") || n.CanReach("b", "a", "probe") {
@@ -327,7 +271,7 @@ func TestSeverRegionsBlocksNonAdjacentRegions(t *testing.T) {
 		t.Fatalf("err = %v, want ErrPartitioned", err)
 	}
 	n.HealRegions("east", "west")
-	if n.RegionSevered("east", "west") || !n.CanReach("a", "b", "probe") {
+	if n.severed[regionPair{"east", "west"}] || !n.CanReach("a", "b", "probe") {
 		t.Fatal("heal did not restore the boundary")
 	}
 }
@@ -341,7 +285,7 @@ func TestSeverRegionsOneWayIsAsymmetric(t *testing.T) {
 	if !n.CanReach("b", "a", "probe") {
 		t.Fatal("west->east should still route")
 	}
-	if !n.RegionSevered("east", "west") || n.RegionSevered("west", "east") {
+	if !n.severed[regionPair{"east", "west"}] || n.severed[regionPair{"west", "east"}] {
 		t.Fatal("one-way sever map wrong")
 	}
 }
@@ -385,7 +329,7 @@ func TestSeverIgnoresUnlabelledAndDegenerate(t *testing.T) {
 	n.Connect(a, b, LinkConfig{Capacity: 1e6})
 	n.SeverRegions("", "west")
 	n.SeverRegions("west", "west")
-	if n.RegionSevered("", "west") || n.RegionSevered("west", "west") {
+	if n.severed[regionPair{"", "west"}] || n.severed[regionPair{"west", "west"}] {
 		t.Fatal("degenerate severs must be no-ops")
 	}
 	if !n.CanReach("a", "b", "probe") {
@@ -409,11 +353,11 @@ func TestFaultSchedulePlaysInOrder(t *testing.T) {
 		SeverFault(2*time.Second, "east", "west"),
 	)
 	eng.RunUntil(sim.Time(1500 * time.Millisecond))
-	if !n.RegionSevered("east", "west") || n.RegionSevered("west", "east") {
+	if !n.severed[regionPair{"east", "west"}] || n.severed[regionPair{"west", "east"}] {
 		t.Fatal("one-way sever did not land alone")
 	}
 	eng.RunUntil(sim.Time(2500 * time.Millisecond))
-	if !n.RegionSevered("west", "east") {
+	if !n.severed[regionPair{"west", "east"}] {
 		t.Fatal("two-way sever did not land")
 	}
 	eng.Run()
@@ -430,7 +374,7 @@ func TestFaultSchedulePlaysInOrder(t *testing.T) {
 			t.Fatalf("log[%d] at %v", i, f.At)
 		}
 	}
-	if n.RegionSevered("east", "west") || n.RegionSevered("west", "east") {
+	if n.severed[regionPair{"east", "west"}] || n.severed[regionPair{"west", "east"}] {
 		t.Fatal("heal did not land")
 	}
 }
@@ -439,8 +383,8 @@ func TestTapLedgerDoubleEntryAcrossFailures(t *testing.T) {
 	// Flows that fail mid-transfer must still reconcile: whatever the
 	// taps saw settled is exactly what the ledger books at detach.
 	eng, n, l := twoNodeNet(LinkConfig{Capacity: 1e6})
-	tapA := l.A().WireTap()
-	tapB := l.B().WireTap()
+	tapA := l.a.WireTap()
+	tapB := l.b.WireTap()
 	n.StartTransfer(TransferOpts{From: "a", To: "b", Bytes: 10e6, Proto: "http", NoHandshake: true})
 	n.StartTransfer(TransferOpts{From: "b", To: "a", Bytes: 1e6, Proto: "http", NoHandshake: true})
 	eng.Schedule(3*time.Second, func() { l.SetDown(n, true) })

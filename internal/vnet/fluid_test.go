@@ -41,21 +41,27 @@ type fluidLink struct {
 // fluidMix runs a seeded mix of overlapping transfers over a
 // two-router topology with finite and unlimited links, per-flow
 // MaxRate caps, and Via paths that cross a link twice (once in each
-// direction).
-func fluidMix() fluidGolden {
+// direction). A WireTap attached at Connect on each NIC must end
+// equal to its link's per-direction wire.
+func fluidMix(t *testing.T) fluidGolden {
 	eng := sim.NewEngine(19)
 	n := New(eng)
 	h0, h1, h2 := n.AddNode("h0"), n.AddNode("h1"), n.AddNode("h2")
 	r1, r2 := n.AddRouter("r1"), n.AddRouter("r2")
 	s0, s1, p := n.AddNode("s0"), n.AddNode("s1"), n.AddNode("p")
 	ms := time.Millisecond
-	n.Connect(h0, r1.Node, LinkConfig{Latency: 2 * ms, Capacity: 2e6})
-	n.Connect(h1, r1.Node, LinkConfig{Latency: 1 * ms})
-	n.Connect(h2, r1.Node, LinkConfig{Latency: 3 * ms, Capacity: 1.5e6})
-	n.Connect(r1.Node, r2.Node, LinkConfig{Latency: 10 * ms, Capacity: 3e6})
-	n.Connect(r2.Node, s0, LinkConfig{Latency: 5 * ms})
-	n.Connect(r2.Node, s1, LinkConfig{Latency: 4 * ms, Capacity: 1e6})
-	n.Connect(r2.Node, p, LinkConfig{Latency: 1 * ms, Capacity: 2.5e6})
+	var taps []*WireTap // a's then b's tap of each link, in link id order
+	connect := func(a, b *Node, cfg LinkConfig) {
+		l := n.Connect(a, b, cfg)
+		taps = append(taps, l.a.WireTap(), l.b.WireTap())
+	}
+	connect(h0, r1.Node, LinkConfig{Latency: 2 * ms, Capacity: 2e6})
+	connect(h1, r1.Node, LinkConfig{Latency: 1 * ms})
+	connect(h2, r1.Node, LinkConfig{Latency: 3 * ms, Capacity: 1.5e6})
+	connect(r1.Node, r2.Node, LinkConfig{Latency: 10 * ms, Capacity: 3e6})
+	connect(r2.Node, s0, LinkConfig{Latency: 5 * ms})
+	connect(r2.Node, s1, LinkConfig{Latency: 4 * ms, Capacity: 1e6})
+	connect(r2.Node, p, LinkConfig{Latency: 1 * ms, Capacity: 2.5e6})
 
 	paths := []struct {
 		from, to string
@@ -102,6 +108,12 @@ func fluidMix() fluidGolden {
 	}
 	eng.Run()
 	for _, l := range n.links {
+		ab, ba := round64(l.wire[dirAB]), round64(l.wire[dirBA])
+		ta, tb := taps[2*l.id], taps[2*l.id+1]
+		if ta.TxBytes() != ab || ta.RxBytes() != ba || tb.TxBytes() != ba || tb.RxBytes() != ab {
+			t.Errorf("link %d: taps a %d/%d, b %d/%d (tx/rx), wire a->b %d, b->a %d",
+				l.id, ta.TxBytes(), ta.RxBytes(), tb.TxBytes(), tb.RxBytes(), ab, ba)
+		}
 		out.Links = append(out.Links, fluidLink{
 			ID:     l.id,
 			Wire:   [2]uint64{math.Float64bits(l.wire[dirAB]), math.Float64bits(l.wire[dirBA])},
@@ -112,11 +124,12 @@ func fluidMix() fluidGolden {
 }
 
 // TestFluidGolden pins the fluid model bit for bit: flow end times in
-// nanoseconds and per-direction link wire and ledger float bits.
+// nanoseconds and per-direction link wire and ledger float bits. It
+// also checks every NIC's tap against its link's wire.
 // A speedup to routing or rate allocation must leave it unchanged;
 // -update rewrites it only for a deliberate behaviour change.
 func TestFluidGolden(t *testing.T) {
-	got, err := json.MarshalIndent(fluidMix(), "", "  ")
+	got, err := json.MarshalIndent(fluidMix(t), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,7 @@ import (
 	"nymix/internal/sim"
 )
 
-// LinkConfig parameterizes a link. A new link is lossless; SetLoss
-// makes it lossy.
+// LinkConfig parameterizes a link.
 type LinkConfig struct {
 	Latency  time.Duration // one-way propagation delay
 	Capacity float64       // bytes per second, shared by both directions; 0 = unlimited
@@ -16,9 +15,8 @@ type LinkConfig struct {
 
 // Link direction indices: dirAB is traversal from endpoint a toward
 // endpoint b, dirBA the reverse. Latency, capacity and up/down state
-// are symmetric; loss is stored per direction but SetLoss always sets
-// both. Wire and ledger bytes are counted per direction. Asymmetric
-// partitions live at the router level (SeverRegionsOneWay).
+// are symmetric; wire and ledger bytes are counted per direction.
+// Asymmetric partitions live at the router level (SeverRegionsOneWay).
 const (
 	dirAB = 0
 	dirBA = 1
@@ -32,7 +30,6 @@ type Link struct {
 	a, b     *NIC
 	cfg      LinkConfig
 	down     bool
-	loss     [2]float64
 	dpi      *DPIEngine
 	captures []*Capture
 	wire     [2]float64 // bytes settled across the link per direction (continuous)
@@ -53,27 +50,8 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	return l
 }
 
-func clampLoss(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 0.9 {
-		return 0.9
-	}
-	return v
-}
-
 // Endpoints returns the two nodes the link joins.
 func (l *Link) Endpoints() (*Node, *Node) { return l.a.node, l.b.node }
-
-// Config returns the link's parameters.
-func (l *Link) Config() LinkConfig { return l.cfg }
-
-// A returns the NIC at the link's first endpoint.
-func (l *Link) A() *NIC { return l.a }
-
-// B returns the NIC at the link's second endpoint.
-func (l *Link) B() *NIC { return l.b }
 
 // NICFor returns the link's NIC attached to nd, or nil.
 func (l *Link) NICFor(nd *Node) *NIC {
@@ -122,20 +100,6 @@ func (l *Link) SetDown(n *Network, down bool) {
 	n.failActive(l, func(*Transfer) bool { return true }, ErrLinkDown)
 }
 
-// SetLoss sets the link's loss rate — the fraction of wire bytes lost
-// per crossing, which retransmission adds to a flow's wire volume — in
-// both directions for flows started after the call (in-flight flows
-// keep the wire volume they were admitted with). The rate is clamped
-// to [0, 0.9].
-func (l *Link) SetLoss(loss float64) {
-	v := clampLoss(loss)
-	l.loss[dirAB] = v
-	l.loss[dirBA] = v
-}
-
-// Loss returns the loss rate for the direction transmitted from nd.
-func (l *Link) Loss(nd *Node) float64 { return l.loss[l.dirFrom(nd)] }
-
 // SetDPI installs (or, with nil, removes) a DPI engine on the link.
 // Every new flow crossing the link in either direction is classified
 // at admission; installing an engine mid-run immediately re-inspects
@@ -158,13 +122,6 @@ func (l *Link) SetDPI(n *Network, e *DPIEngine) {
 		return ruling.Verdict == Drop
 	}, ErrCensored)
 }
-
-// DPI returns the engine installed on the link, or nil.
-func (l *Link) DPI() *DPIEngine { return l.dpi }
-
-// WireBytesFrom returns the wire bytes settled across the link in the
-// direction transmitted from nd.
-func (l *Link) WireBytesFrom(nd *Node) int64 { return round64(l.wire[l.dirFrom(nd)]) }
 
 // WireBytesTotal returns the wire bytes settled across the link in
 // both directions since creation.

@@ -31,8 +31,8 @@ type Network struct {
 	// invalidateRoutes: Connect, SetDown, SeverRegions,
 	// SeverRegionsOneWay and HealRegions on the fabric, and
 	// SetForwarding, SetPolicy, SetMasquerade, SetRegion and AddTag on
-	// a node. Link loss and DPI are read live from the hops at
-	// admission, so they need no clear.
+	// a node. DPI is read live from the hops at admission, so it needs
+	// no clear.
 	routes      map[segKey]segRoute
 	wholeRoutes map[string]route
 	routeKey    []byte

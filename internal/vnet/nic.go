@@ -1,23 +1,12 @@
 package vnet
 
-// NIC is one end of a link: the attachment point of a node. Every NIC
-// carries always-on byte counters — the simulation's ground truth for
-// what actually crossed the wire at this attachment — and can be
-// decorated with WireTaps for interval accounting.
+// NIC is one end of a link: the attachment point of a node. WireTaps
+// decorate it to count the bytes that cross it.
 type NIC struct {
 	node *Node
 	link *Link
 	taps []*WireTap
-	tx   float64 // bytes transmitted through this NIC since creation
-	rx   float64 // bytes received through this NIC since creation
 }
-
-// Iface is the NIC's historical name; consumer packages written
-// against the flat-star vnet use it interchangeably.
-type Iface = NIC
-
-// Node returns the NIC's node.
-func (i *NIC) Node() *Node { return i.node }
 
 // Link returns the NIC's link.
 func (i *NIC) Link() *Link { return i.link }
@@ -30,19 +19,11 @@ func (i *NIC) Peer() *NIC {
 	return i.link.a
 }
 
-// TxBytes returns the wire bytes transmitted through this NIC since
-// creation, credited as flows progress (not at completion).
-func (i *NIC) TxBytes() int64 { return round64(i.tx) }
-
-// RxBytes returns the wire bytes received through this NIC since
-// creation.
-func (i *NIC) RxBytes() int64 { return round64(i.rx) }
-
 // WireTap attaches a byte tap to the NIC. The tap starts at zero and
-// accumulates from the moment of attachment, independent of the NIC's
-// lifetime counters and of any other tap.
+// accumulates from the moment of attachment, independent of any other
+// tap.
 func (i *NIC) WireTap() *WireTap {
-	w := &WireTap{nic: i}
+	w := &WireTap{}
 	i.taps = append(i.taps, w)
 	return w
 }
@@ -53,12 +34,8 @@ func (i *NIC) WireTap() *WireTap {
 // completion), so a tap read mid-experiment reflects bytes actually
 // moved, not bytes promised.
 type WireTap struct {
-	nic    *NIC
 	tx, rx float64
 }
-
-// NIC returns the tapped attachment point.
-func (w *WireTap) NIC() *NIC { return w.nic }
 
 // TxBytes returns bytes transmitted through the NIC since the tap was
 // attached.

@@ -165,7 +165,7 @@ func routeMemoScenario(data []byte) error {
 	}
 	link := func() *Link { return n.links[in.next(len(n.links))] }
 	for step := 0; step < 120 && !in.empty(); step++ {
-		switch in.next(13) {
+		switch in.next(12) {
 		case 0:
 			connect(node(), node())
 		case 1:
@@ -195,8 +195,6 @@ func routeMemoScenario(data []byte) error {
 			node().SetRegion(regions[in.next(4)])
 		case 9:
 			node().AddTag("lan")
-		case 10:
-			link().SetLoss(float64(in.next(5)) / 10)
 		default:
 			// Sweep every ordered pair, so a memo entry that a
 			// mutator should have cleared is looked up again, then

@@ -52,12 +52,6 @@ func (n *Network) HealRegions(a, b string) {
 	n.invalidateRoutes()
 }
 
-// RegionSevered reports whether the from→to direction of the boundary
-// is currently severed.
-func (n *Network) RegionSevered(from, to string) bool {
-	return n.severed[regionPair{from, to}]
-}
-
 func (n *Network) severOne(from, to string) {
 	if from == "" || to == "" || from == to {
 		return

@@ -133,14 +133,6 @@ func (n *Network) StartTransfer(opts TransferOpts) *sim.Future[Result] {
 	if wire < 1 {
 		wire = 1
 	}
-	// Lossy hops inflate the wire volume: every crossing of a hop with
-	// loss p must carry 1/(1-p) times the bytes to deliver the payload
-	// (end-to-end retransmission in the fluid model).
-	for _, h := range r.hops {
-		if p := h.link.loss[h.dir]; p > 0 {
-			wire /= 1 - p
-		}
-	}
 	t := &Transfer{
 		id:        n.nextID,
 		net:       n,
@@ -201,8 +193,8 @@ func (n *Network) activate(t *Transfer) {
 }
 
 // settle advances the flow to now at its current rate, moving the
-// progressed bytes out of remaining and crediting them to every NIC,
-// tap, and link counter on the path.
+// progressed bytes out of remaining and crediting them to every tap
+// and link counter on the path.
 func (t *Transfer) settle(now sim.Time) {
 	elapsed := (now - t.lastUpdate).Seconds()
 	if elapsed > 0 && t.rate > 0 {
@@ -220,7 +212,7 @@ func (t *Transfer) settle(now sim.Time) {
 }
 
 // credit books moved wire bytes onto every hop of the path: the
-// link's directional counter, both NICs, and any attached taps.
+// link's directional counter and the taps on both of its NICs.
 func (t *Transfer) credit(moved float64) {
 	if moved <= 0 {
 		return
@@ -230,13 +222,10 @@ func (t *Transfer) credit(moved float64) {
 		h := &t.hops[i]
 		l := h.link
 		l.wire[h.dir] += moved
-		tx, rx := l.txNIC(h.dir), l.rxNIC(h.dir)
-		tx.tx += moved
-		rx.rx += moved
-		for _, w := range tx.taps {
+		for _, w := range l.txNIC(h.dir).taps {
 			w.tx += moved
 		}
-		for _, w := range rx.taps {
+		for _, w := range l.rxNIC(h.dir).taps {
 			w.rx += moved
 		}
 	}

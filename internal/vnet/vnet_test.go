@@ -133,7 +133,7 @@ func TestPolicyBlocksSelectively(t *testing.T) {
 	n.Connect(anon, host, LinkConfig{})
 	uplink := n.Connect(host, inet, LinkConfig{})
 	// Host forwards only anonymizer traffic to the uplink.
-	host.SetPolicy(func(in, out *Iface, proto string, dst *Node) bool {
+	host.SetPolicy(func(in, out *NIC, proto string, dst *Node) bool {
 		return out.Link() == uplink && proto == "tor"
 	})
 	if n.CanReach("anonvm", "internet", "http") {
