@@ -15,6 +15,10 @@
 // transports through NewTransport without linking against every
 // implementation by name. Transports can be chained in series
 // (section 3.3's "best of both worlds" configurations) with Chain.
+//
+// A transport has no protocol label of its own: what a wire observer
+// (a Capture, a DPI engine) sees is the Proto of the vnet flows the
+// transport starts.
 package anonnet
 
 import (
@@ -44,16 +48,12 @@ type FetchResult struct {
 // identifies as critical against long-term intersection attacks.
 type State map[string]string
 
-// Anonymizer is the historical name for Transport, kept as an alias
-// for existing callers.
-type Anonymizer = Transport
-
-// Transport is a communication tool pluggable into a CommVM.
+// Transport is a communication tool pluggable into a CommVM. It moves
+// bytes by starting vnet flows; their Proto labels are what observers
+// see.
 type Transport interface {
 	// Name identifies the tool ("tor", "dissent", "incognito").
 	Name() string
-	// Proto is the wire-protocol label observers see on captures.
-	Proto() string
 	// Start bootstraps the tool inside the CommVM; it blocks the
 	// calling process for the bootstrap duration (the "Start Tor" phase
 	// of Figure 7).
@@ -79,15 +79,17 @@ type Transport interface {
 	Stop()
 }
 
-// Chain runs requests through anonymizers in series: traffic enters
+// Chain runs requests through transports in series: traffic enters
 // the first and exits from the last, so the observed exit identity and
-// overheads compose. Start and Stop apply to every stage.
+// overheads compose. Only the last stage starts flows for an exchange,
+// so the wire carries its protocol label. Start and Stop apply to
+// every stage.
 type Chain struct {
-	stages []Anonymizer
+	stages []Transport
 }
 
 // NewChain composes stages in order (first = closest to the user).
-func NewChain(stages ...Anonymizer) *Chain { return &Chain{stages: stages} }
+func NewChain(stages ...Transport) *Chain { return &Chain{stages: stages} }
 
 // Name returns the composed name, e.g. "tor+dissent".
 func (c *Chain) Name() string {
@@ -100,10 +102,6 @@ func (c *Chain) Name() string {
 	}
 	return name
 }
-
-// Proto returns the first stage's wire protocol (what the host uplink
-// observes).
-func (c *Chain) Proto() string { return c.stages[0].Proto() }
 
 // Start bootstraps every stage in order.
 func (c *Chain) Start(p *sim.Proc) error {
@@ -185,7 +183,7 @@ func (c *Chain) ImportState(st State) {
 	}
 }
 
-func (c *Chain) stageKey(i int, s Anonymizer) string {
+func (c *Chain) stageKey(i int, s Transport) string {
 	return s.Name() + "#" + string(rune('0'+i)) + "/"
 }
 
@@ -196,4 +194,4 @@ func (c *Chain) Stop() {
 	}
 }
 
-var _ Anonymizer = (*Chain)(nil)
+var _ Transport = (*Chain)(nil)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nymix/internal/sim"
+	"nymix/internal/vnet"
 )
 
 // fakeAnon is a scriptable anonymizer for chain tests.
@@ -19,10 +20,12 @@ type fakeAnon struct {
 	state    State
 	// lastReq records what Fetch saw, to verify overhead composition.
 	lastReq Request
+	// net, when set, carries each Fetch as one flow from node "user"
+	// to the site, labelled with the stage's name.
+	net *vnet.Network
 }
 
 func (f *fakeAnon) Name() string          { return f.name }
-func (f *fakeAnon) Proto() string         { return f.name }
 func (f *fakeAnon) Ready() bool           { return f.started }
 func (f *fakeAnon) OverheadFrac() float64 { return f.overhead }
 func (f *fakeAnon) ExitIdentity() string  { return f.exit }
@@ -39,6 +42,12 @@ func (f *fakeAnon) Start(p *sim.Proc) error {
 
 func (f *fakeAnon) Fetch(p *sim.Proc, req Request) (FetchResult, error) {
 	f.lastReq = req
+	if f.net != nil {
+		fut := f.net.StartTransfer(vnet.TransferOpts{From: "user", To: req.SiteNode, Bytes: req.SendBytes, Proto: f.name})
+		if _, err := sim.Await(p, fut); err != nil {
+			return FetchResult{}, err
+		}
+	}
 	return FetchResult{Sent: req.SendBytes, Received: req.RecvBytes, Elapsed: time.Second}, nil
 }
 
@@ -64,13 +73,24 @@ func runChain(t *testing.T, fn func(p *sim.Proc)) {
 }
 
 func TestChainNameAndProto(t *testing.T) {
-	c := NewChain(&fakeAnon{name: "dissent"}, &fakeAnon{name: "tor"})
+	eng := sim.NewEngine(1)
+	net := vnet.New(eng)
+	tap := net.Connect(net.AddNode("user"), net.AddNode("site"), vnet.LinkConfig{Capacity: 1e6}).Tap()
+	c := NewChain(&fakeAnon{name: "dissent", net: net}, &fakeAnon{name: "tor", net: net})
 	if c.Name() != "dissent+tor" {
 		t.Fatalf("name = %q", c.Name())
 	}
-	// The host uplink observes the first stage's wire protocol.
-	if c.Proto() != "dissent" {
-		t.Fatalf("proto = %q", c.Proto())
+	eng.Go("t", func(p *sim.Proc) {
+		c.Start(p)
+		if _, err := c.Fetch(p, Request{SiteNode: "site", SendBytes: 1000}); err != nil {
+			t.Errorf("fetch: %v", err)
+		}
+	})
+	eng.Run()
+	// The final stage carries the exchange, so the wire shows only its
+	// label.
+	if got := tap.Protos(); len(got) != 1 || got[0] != "tor" {
+		t.Fatalf("wire protos = %v, want [tor]", got)
 	}
 }
 

@@ -42,5 +42,4 @@ var (
 	ErrNoExit     = nymerr.New(CodeNoExit, "anonnet: no usable exit")
 	ErrResolve    = nymerr.New(CodeResolve, "anonnet: cannot resolve host")
 	ErrBadRequest = nymerr.New(CodeBadRequest, "anonnet: bad request")
-	ErrBadFrame   = nymerr.New(CodeBadFrame, "anonnet: bad packet frame")
 )

@@ -84,9 +84,10 @@ func TestTransportConformance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			if tr.Name() == "" || tr.Proto() == "" {
-				t.Fatalf("empty identity: name=%q proto=%q", tr.Name(), tr.Proto())
+			if tr.Name() == "" {
+				t.Fatal("empty name")
 			}
+			uplink := env.Net.Node(env.CommNode).Ifaces()[0].Link().Tap()
 			if tr.OverheadFrac() < 0 {
 				t.Fatalf("negative overhead %v", tr.OverheadFrac())
 			}
@@ -175,6 +176,16 @@ func TestTransportConformance(t *testing.T) {
 				}
 			})
 			eng.Run()
+			// Every flow on the CommVM's uplink carries a protocol label
+			// an observer can classify.
+			if len(uplink.Entries) == 0 {
+				t.Fatal("no flow crossed the CommVM uplink")
+			}
+			for _, e := range uplink.Entries {
+				if e.Proto == "" {
+					t.Fatalf("unlabelled flow on the uplink: %+v", e)
+				}
+			}
 		})
 	}
 }
@@ -235,7 +246,6 @@ func TestLegacySentinelsKeepErrorsIs(t *testing.T) {
 		{anonnet.ErrNoExit, anonnet.CodeNoExit},
 		{anonnet.ErrResolve, anonnet.CodeResolve},
 		{anonnet.ErrBadRequest, anonnet.CodeBadRequest},
-		{anonnet.ErrBadFrame, anonnet.CodeBadFrame},
 	}
 	for _, c := range cases {
 		wrapped := nymerr.Wrap(vnet.CodePartitioned, c.sentinel, "outer context")

@@ -128,9 +128,6 @@ func (c *Client) setCascade(cascade []string) {
 // Name implements anonnet.Transport.
 func (c *Client) Name() string { return "mixnet" }
 
-// Proto implements anonnet.Transport.
-func (c *Client) Proto() string { return Proto }
-
 // OverheadFrac implements anonnet.Transport: the per-payload padding
 // figure only — cover traffic is charged by time, not per request.
 func (c *Client) OverheadFrac() float64 { return NominalOverhead }

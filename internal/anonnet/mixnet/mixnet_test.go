@@ -232,9 +232,10 @@ func absI64(v int64) int64 {
 // Transport-surface accessors in-package (the cross-backend
 // conformance suite drives them from outside).
 func TestClientSurface(t *testing.T) {
-	eng, net, world, c, _, _ := coverRig(11)
-	if c.Name() != "mixnet" || c.Proto() != Proto {
-		t.Fatalf("identity = %q/%q", c.Name(), c.Proto())
+	eng, net, world, c, link, _ := coverRig(11)
+	uplink := link.Tap()
+	if c.Name() != "mixnet" {
+		t.Fatalf("name = %q", c.Name())
 	}
 	if c.OverheadFrac() != NominalOverhead {
 		t.Fatalf("overhead = %v", c.OverheadFrac())
@@ -300,6 +301,11 @@ func TestClientSurface(t *testing.T) {
 		}
 	})
 	eng.Run()
+	// Directory fetch, cover and payload frames all leave the CommVM
+	// labelled mixnet.
+	if got := uplink.Protos(); len(got) != 1 || got[0] != Proto {
+		t.Fatalf("uplink protos = %v, want [%s]", got, Proto)
+	}
 }
 
 // TestPartitionDropsCoverAndFailsFetchTyped: when the cascade enclave

@@ -278,9 +278,6 @@ func TestBridgeTransportHidesTorFromCensor(t *testing.T) {
 	r := newRig()
 	c := r.client()
 	c.SetBridgeTransport("https")
-	if c.Proto() != "https" {
-		t.Fatalf("proto = %q", c.Proto())
-	}
 	var censorTap *vnet.Capture
 	for _, ifc := range r.net.Node("commvm").Ifaces() {
 		censorTap = ifc.Link().Tap()
@@ -299,19 +296,34 @@ func TestBridgeTransportHidesTorFromCensor(t *testing.T) {
 	if len(censorTap.Entries) == 0 {
 		t.Fatal("censor saw nothing")
 	}
-	for _, e := range censorTap.Entries {
-		if e.Proto == "tor" {
-			t.Fatalf("censor observed tor traffic: %+v", e)
-		}
+	if got := censorTap.Protos(); len(got) != 1 || got[0] != "https" {
+		t.Fatalf("censor observed %v, want only https", got)
 	}
 	// Camouflage costs extra overhead.
 	if c.OverheadFrac() <= CellOverhead {
 		t.Fatal("bridge transport should cost more than bare tor")
 	}
-	// Switching back restores the plain transport.
+	// Switching back restores the plain transport: the next exchange
+	// crosses the uplink labelled tor.
 	c.SetBridgeTransport("")
-	if c.Proto() != "tor" || c.OverheadFrac() != CellOverhead {
-		t.Fatal("reset to plain tor failed")
+	if c.OverheadFrac() != CellOverhead {
+		t.Fatal("reset to plain tor kept the bridge overhead")
+	}
+	seen := len(censorTap.Entries)
+	r.eng.Go("plain", func(p *sim.Proc) {
+		if _, err := c.Fetch(p, anonnet.Request{SiteNode: site, SendBytes: 1024, RecvBytes: 1024}); err != nil {
+			t.Errorf("plain fetch: %v", err)
+		}
+	})
+	r.eng.Run()
+	plain := censorTap.Entries[seen:]
+	if len(plain) == 0 {
+		t.Fatal("plain fetch crossed no tapped link")
+	}
+	for _, e := range plain {
+		if e.Proto != "tor" {
+			t.Fatalf("after reset the censor saw %q, want tor", e.Proto)
+		}
 	}
 }
 

@@ -90,7 +90,7 @@ type Browser struct {
 	net      *vnet.Network
 	anonVM   *vm.VM
 	commNode string
-	anon     anonnet.Anonymizer
+	anon     anonnet.Transport
 	cacheCap int64
 	baseFP   string
 	render   RenderFunc
@@ -118,7 +118,7 @@ type VisitResult struct {
 
 // New creates a browser inside anonVM whose traffic exits through the
 // anonymizer running at commNode.
-func New(world *webworld.World, net *vnet.Network, anonVM *vm.VM, commNode string, anon anonnet.Anonymizer, cfg Config) *Browser {
+func New(world *webworld.World, net *vnet.Network, anonVM *vm.VM, commNode string, anon anonnet.Transport, cfg Config) *Browser {
 	if cfg.CacheCap <= 0 {
 		cfg.CacheCap = DefaultCacheCap
 	}

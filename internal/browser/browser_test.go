@@ -351,4 +351,4 @@ func TestTwoNymsHaveUnlinkableCookiesButSameFingerprint(t *testing.T) {
 	}
 }
 
-var _ anonnet.Anonymizer = (*tor.Client)(nil)
+var _ anonnet.Transport = (*tor.Client)(nil)

@@ -249,7 +249,7 @@ type Nym struct {
 	opts    Options
 	anonVM  *vm.VM
 	commVM  *vm.VM
-	anon    anonnet.Anonymizer
+	anon    anonnet.Transport
 	browser *browser.Browser
 	phases  StartPhases
 	cycles  int
@@ -281,7 +281,7 @@ func (n *Nym) AnonVM() *vm.VM { return n.anonVM }
 func (n *Nym) CommVM() *vm.VM { return n.commVM }
 
 // Anonymizer returns the nym's communication tool.
-func (n *Nym) Anonymizer() anonnet.Anonymizer { return n.anon }
+func (n *Nym) Anonymizer() anonnet.Transport { return n.anon }
 
 // Browser returns the nym's browser.
 func (n *Nym) Browser() *browser.Browser { return n.browser }

@@ -431,7 +431,7 @@ func TestWrongPasswordOnManifest(t *testing.T) {
 // flakyAnon wraps a working anonymizer and, once down, fails every
 // exchange — a circuit collapse between login and fetch.
 type flakyAnon struct {
-	anonnet.Anonymizer
+	anonnet.Transport
 	down bool
 }
 
@@ -439,7 +439,7 @@ func (f *flakyAnon) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult
 	if f.down {
 		return anonnet.FetchResult{}, errors.New("anonymizer circuit collapsed")
 	}
-	return f.Anonymizer.Fetch(p, req)
+	return f.Transport.Fetch(p, req)
 }
 
 // Regression: a provider that HAS a manifest but cannot serve it used
@@ -451,7 +451,7 @@ func TestManifestProbeOutageIsNotNoManifest(t *testing.T) {
 	vs := NewStore("alice", nil)
 	r.eng.Go("test", func(p *sim.Proc) {
 		r.relay.Start(p)
-		flaky := &flakyAnon{Anonymizer: r.relay}
+		flaky := &flakyAnon{Transport: r.relay}
 		sess, err := cloud.Login(p, flaky, r.providers[0], "acct", "cpw")
 		if err != nil {
 			t.Errorf("login: %v", err)
