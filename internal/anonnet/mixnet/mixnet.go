@@ -71,12 +71,6 @@ func init() {
 		})
 }
 
-// pendingFrame is one queued payload frame awaiting its cover-clock
-// slot.
-type pendingFrame struct {
-	done *sim.Future[struct{}]
-}
-
 // Client is one mixnet instance inside a CommVM.
 type Client struct {
 	net      *vnet.Network
@@ -86,11 +80,14 @@ type Client struct {
 	back     []string // the hops before the exit, reversed: the Via of return frames
 	resolver func(string) (string, bool)
 
-	ready  bool
-	hasDir bool
-	timer  sim.Timer
-	tickFn func() // c.tick, built once for armTick
-	sendQ  []*pendingFrame
+	ready     bool
+	hasDir    bool
+	timer     sim.Timer
+	tickFn    func()                   // c.tick, built once for armTick
+	coverDone func(vnet.Result, error) // c.coverSettled, built once: every cover frame's Send callback
+	// sendQ holds the Send callbacks of queued payload frames awaiting
+	// their cover-clock slots, oldest first.
+	sendQ []func(vnet.Result, error)
 
 	// Wire accounting, split so the cover-traffic property test can
 	// reconcile the NIC tap to the byte: wire counters credit only
@@ -112,6 +109,7 @@ func New(net *vnet.Network, commNode string, cascade []string, resolver func(str
 		resolver: resolver,
 	}
 	c.tickFn = c.tick
+	c.coverDone = c.coverSettled
 	c.setCascade(append([]string(nil), cascade...))
 	return c
 }
@@ -202,43 +200,42 @@ func (c *Client) tick() {
 	if !c.ready {
 		return
 	}
-	opts := vnet.TransferOpts{
-		From: c.commNode, To: c.exit(), Via: c.mids(),
-		Bytes: PacketSize, Proto: Proto, NoHandshake: true,
-	}
+	done := c.coverDone
 	if len(c.sendQ) > 0 {
-		f := c.sendQ[0]
+		done = c.sendQ[0]
 		c.sendQ = c.sendQ[1:]
 		c.payloadSent++
-		fut := c.net.StartTransfer(opts)
-		fut.OnDone(func() {
-			if _, err := fut.Value(); err != nil {
-				f.done.Complete(struct{}{}, err)
-				return
-			}
-			c.payloadWire += PacketSize
-			f.done.Complete(struct{}{}, nil)
-		})
 	} else {
 		c.coverSent++
-		fut := c.net.StartTransfer(opts)
-		fut.OnDone(func() {
-			if _, err := fut.Value(); err != nil {
-				c.coverDrops++
-				return
-			}
-			c.coverWire += PacketSize
-		})
 	}
+	c.net.Send(vnet.TransferOpts{
+		From: c.commNode, To: c.exit(), Via: c.mids(),
+		Bytes: PacketSize, Proto: Proto, NoHandshake: true,
+	}, done)
 	c.armTick()
 }
 
+// coverSettled books the outcome of one cover frame.
+func (c *Client) coverSettled(_ vnet.Result, err error) {
+	if err != nil {
+		c.coverDrops++
+		return
+	}
+	c.coverWire += PacketSize
+}
+
 // enqueue parks one payload frame on the cover clock and returns its
-// completion future.
+// completion future. The frame's Send callback is built here, once,
+// and Stop fails a frame still queued through the same callback.
 func (c *Client) enqueue() *sim.Future[struct{}] {
-	f := &pendingFrame{done: sim.NewFuture[struct{}](c.eng)}
-	c.sendQ = append(c.sendQ, f)
-	return f.done
+	fut := sim.NewFuture[struct{}](c.eng)
+	c.sendQ = append(c.sendQ, func(_ vnet.Result, err error) {
+		if err == nil {
+			c.payloadWire += PacketSize
+		}
+		fut.Complete(struct{}{}, err)
+	})
+	return fut
 }
 
 // sleepMixDelay charges one exponential mix delay per cascade hop to
@@ -386,8 +383,8 @@ func (c *Client) ImportState(st anonnet.State) {
 func (c *Client) Stop() {
 	c.ready = false
 	c.timer.Cancel()
-	for _, f := range c.sendQ {
-		f.done.Complete(struct{}{}, anonnet.ErrNotReady)
+	for _, fail := range c.sendQ {
+		fail(vnet.Result{}, anonnet.ErrNotReady)
 	}
 	c.sendQ = nil
 }

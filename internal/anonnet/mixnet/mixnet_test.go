@@ -341,3 +341,51 @@ func TestPartitionDropsCoverAndFailsFetchTyped(t *testing.T) {
 	})
 	eng.Run()
 }
+
+// idleClient returns coverRig's engine with its client started and
+// idle: the directory is fetched and the cover clock is running.
+func idleClient(tb testing.TB) (*sim.Engine, *Client) {
+	tb.Helper()
+	eng, _, _, c, _, _ := coverRig(1)
+	eng.Go("start", func(p *sim.Proc) {
+		if err := c.Start(p); err != nil {
+			tb.Errorf("start: %v", err)
+		}
+	})
+	eng.RunUntil(10 * time.Second)
+	if !c.Ready() {
+		tb.Fatal("client not ready after 10s")
+	}
+	return eng, c
+}
+
+// TestCoverTickAllocs pins an idle client's cover clock at no
+// allocation per tick: the frame goes out through vnet's Send with the
+// client's one prebuilt callback, on a pooled transfer.
+func TestCoverTickAllocs(t *testing.T) {
+	eng, c := idleClient(t)
+	defer c.Stop()
+	sent := c.CoverPackets()
+	allocs := testing.AllocsPerRun(100, func() {
+		eng.RunUntil(eng.Now() + DefaultCoverInterval)
+	})
+	if c.CoverPackets()-sent < 100 || c.CoverDrops() != 0 {
+		t.Fatalf("cover clock sent %d frames with %d drops over 101 ticks", c.CoverPackets()-sent, c.CoverDrops())
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocs per cover tick, want 0", allocs)
+	}
+}
+
+// BenchmarkCoverTick runs an idle client's cover clock one tick per
+// iteration: the frame's routing, admission, rate allocation and
+// delivery over the client's uplink and the default world's mix cascade.
+func BenchmarkCoverTick(b *testing.B) {
+	eng, c := idleClient(b)
+	defer c.Stop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.RunUntil(eng.Now() + DefaultCoverInterval)
+	}
+}

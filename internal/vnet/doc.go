@@ -26,6 +26,13 @@
 // tap totals, link wire and the per-flow detach ledger double-enter the
 // same bytes.
 //
+// A flow reports its outcome through the future of StartTransfer or
+// the callback of Send. Send's callback runs as a zero-delay event at
+// the point where the future's Complete would schedule an OnDone
+// subscriber, so the two fire the same events in the same order. The
+// Network recycles a finished flow's state, so a Send on a memoized
+// route allocates nothing.
+//
 // Isolation — the property validated in section 5.1 — is enforced
 // structurally: routes exist only where links exist and every
 // intermediate node's forwarding policy admits the hop. A blocked

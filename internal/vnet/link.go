@@ -97,7 +97,7 @@ func (l *Link) SetDown(n *Network, down bool) {
 	if !down {
 		return
 	}
-	n.failActive(l, func(*Transfer) bool { return true }, ErrLinkDown)
+	n.failActive(l, func(*transfer) bool { return true }, ErrLinkDown)
 }
 
 // SetDPI installs (or, with nil, removes) a DPI engine on the link.
@@ -110,7 +110,7 @@ func (l *Link) SetDPI(n *Network, e *DPIEngine) {
 	if e == nil {
 		return
 	}
-	n.failActive(l, func(t *Transfer) bool {
+	n.failActive(l, func(t *transfer) bool {
 		h := t.hopOn(l)
 		ruling := e.inspect(Flow{
 			Src:         t.from,
@@ -135,8 +135,8 @@ func (l *Link) LedgerBytesTotal() int64 { return round64(l.ledger[dirAB] + l.led
 
 // failActive fails the active transfers crossing l that match pred,
 // in id order for determinism.
-func (n *Network) failActive(l *Link, pred func(*Transfer) bool, cause error) {
-	var victims []*Transfer
+func (n *Network) failActive(l *Link, pred func(*transfer) bool, cause error) {
+	var victims []*transfer
 	for _, t := range n.transfers {
 		if t.hopOn(l) != nil && pred(t) {
 			victims = append(victims, t)

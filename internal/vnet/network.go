@@ -19,10 +19,12 @@ type Network struct {
 	// transfers holds the active flows in activation order. That is
 	// not id order: flows activate after handshakes of different
 	// lengths.
-	transfers []*Transfer
-	nextID    int64
-	severed   map[regionPair]bool
-	faultLog  []AppliedFault
+	transfers []*transfer
+	// free holds finished transfers for reuse (see transfer).
+	free     []*transfer
+	nextID   int64
+	severed  map[regionPair]bool
+	faultLog []AppliedFault
 	// Two route memos. routes holds segments by (src, dst, proto),
 	// with the sentinel error of a failed BFS. wholeRoutes holds the
 	// successful routes of transfers, keyed by From, Via, To and Proto

@@ -59,7 +59,7 @@ func (n *Network) severOne(from, to string) {
 	n.severed[regionPair{from, to}] = true
 	n.invalidateRoutes()
 	// Fail the in-flight flows the new sever cuts, in id order.
-	var victims []*Transfer
+	var victims []*transfer
 	for _, t := range n.transfers {
 		if n.partitionBlocked(t) {
 			victims = append(victims, t)
@@ -85,7 +85,7 @@ func (n *Network) regionCut(f, t *Node) bool {
 // current sever map: either a hop crosses a severed boundary in its
 // traversal direction, or a segment's endpoints straddle one (which
 // covers regions that are not physically adjacent).
-func (n *Network) partitionBlocked(t *Transfer) bool {
+func (n *Network) partitionBlocked(t *transfer) bool {
 	for i := 0; i+1 < len(t.points); i++ {
 		if n.regionCut(t.points[i], t.points[i+1]) {
 			return true

@@ -29,8 +29,14 @@ type TransferOpts struct {
 	MaxRate     float64 // per-flow cap in bytes/s; 0 = DefaultMaxRate
 }
 
-// Transfer is an in-flight fluid flow.
-type Transfer struct {
+// transfer is one fluid flow, from admission until its outcome is
+// reported. Its Network then recycles it onto a free list, just before
+// StartTransfer's future completes or just before Send's callback runs.
+// That is the flow's last step, whether it was refused, delivered,
+// failed during the handshake or failed mid-flow, and no event of the
+// transfer is pending by then. Nothing outside vnet can name the type,
+// so no caller can hold one past its recycling.
+type transfer struct {
 	id  int64
 	net *Network
 	// The TransferOpts fields a flow reads after admission; maxRate
@@ -48,11 +54,18 @@ type Transfer struct {
 	rate       float64
 	lastUpdate sim.Time
 	timer      sim.Timer
-	step       func() // t.advance, built once: every event the transfer schedules runs it
-	fut        *sim.Future[Result]
-	started    sim.Time
-	ended      sim.Time // when the last byte reaches the receiver
-	phase      phase
+	// step is t.advance, built once per pooled object: every event the
+	// transfer schedules runs it.
+	step    func()
+	started sim.Time
+	ended   sim.Time // when the last byte reaches the receiver
+	phase   phase
+	// Exactly one of fut (StartTransfer) and done (Send) is set.
+	fut  *sim.Future[Result]
+	done func(Result, error)
+	// The outcome a refused or notifying step reports.
+	res Result
+	err error
 }
 
 // phase is where a transfer is in its life. Every event a transfer
@@ -60,27 +73,53 @@ type Transfer struct {
 type phase uint8
 
 const (
-	handshaking phase = iota // connection setup; step activates the flow
+	pooled      phase = iota // on the Network's free list; step must not run
+	refused                  // no route or dropped by DPI; step reports err
+	handshaking              // connection setup; step activates the flow
 	flowing                  // in the rate allocation; step finishes it at its ETA
-	delivering               // last byte in flight; step completes the future
-	done                     // completed or failed; step does nothing
+	delivering               // last byte in flight; step reports the result
+	notifying                // Send's callback is due; step runs it
 )
 
 // advance is every transfer's step callback.
-func (t *Transfer) advance() {
+func (t *transfer) advance() {
 	switch t.phase {
+	case refused:
+		t.complete(Result{}, t.err)
 	case handshaking:
 		t.net.activate(t)
 	case flowing:
 		t.net.finish(t)
 	case delivering:
-		t.phase = done
-		t.fut.Complete(Result{Bytes: t.bytes, Started: t.started, Ended: t.ended}, nil)
+		t.complete(Result{Bytes: t.bytes, Started: t.started, Ended: t.ended}, nil)
+	case notifying:
+		done, res, err := t.done, t.res, t.err
+		t.net.recycle(t)
+		done(res, err)
+	default:
+		panic("vnet: step of a recycled transfer")
 	}
 }
 
+// complete reports the transfer's outcome. A future completes on the
+// spot and the transfer is recycled first, so a process the future
+// wakes inline may reuse it. A Send callback runs as a zero-delay
+// event scheduled here, exactly where Future.Complete would schedule
+// an OnDone subscriber, so both entry points fire the same events in
+// the same order. The caller must not touch t afterwards.
+func (t *transfer) complete(res Result, err error) {
+	if t.done != nil {
+		t.phase, t.res, t.err = notifying, res, err
+		t.net.eng.Schedule(0, t.step)
+		return
+	}
+	fut := t.fut
+	t.net.recycle(t)
+	fut.Complete(res, err)
+}
+
 // hopOn returns the flow's first hop across l, or nil.
-func (t *Transfer) hopOn(l *Link) *hop {
+func (t *transfer) hopOn(l *Link) *hop {
 	for i := range t.hops {
 		if t.hops[i].link == l {
 			return &t.hops[i]
@@ -93,10 +132,50 @@ func (t *Transfer) hopOn(l *Link) *hop {
 // the last byte is delivered (or the flow fails).
 func (n *Network) StartTransfer(opts TransferOpts) *sim.Future[Result] {
 	fut := sim.NewFuture[Result](n.eng)
-	r, delay, err := n.resolve(&opts)
+	n.admit(&opts, fut, nil)
+	return fut
+}
+
+// Send begins a flow like StartTransfer and calls done with its outcome
+// instead of completing a future. done runs as a zero-delay event at
+// the instant the future would complete, which is when an OnDone
+// subscriber of StartTransfer's future would be scheduled. done must
+// not be nil. A Send on a memoized route allocates nothing once the
+// Network's free list is warm.
+func (n *Network) Send(opts TransferOpts, done func(Result, error)) {
+	n.admit(&opts, nil, done)
+}
+
+// newTransfer takes a transfer off the free list, or makes one.
+func (n *Network) newTransfer() *transfer {
+	if k := len(n.free) - 1; k >= 0 {
+		t := n.free[k]
+		n.free = n.free[:k]
+		return t
+	}
+	t := &transfer{net: n}
+	t.step = t.advance
+	return t
+}
+
+// recycle clears t, keeping its step callback, and puts it on the free
+// list.
+func (n *Network) recycle(t *transfer) {
+	*t = transfer{net: n, step: t.step}
+	n.free = append(n.free, t)
+}
+
+// admit routes and inspects a flow, then schedules its first step:
+// the handshake, or the refusal after the route's failure delay or
+// the 3 s probe timeout of a DPI drop. Exactly one of fut and done is
+// set.
+func (n *Network) admit(opts *TransferOpts, fut *sim.Future[Result], done func(Result, error)) {
+	t := n.newTransfer()
+	t.fut, t.done = fut, done
+	r, delay, err := n.resolve(opts)
 	if err != nil {
-		n.eng.Schedule(delay, func() { fut.Complete(Result{}, err) })
-		return fut
+		t.refuse(delay, err)
+		return
 	}
 	if opts.MaxRate <= 0 {
 		opts.MaxRate = DefaultMaxRate
@@ -119,9 +198,8 @@ func (n *Network) StartTransfer(opts TransferOpts) *sim.Future[Result] {
 		switch ruling.Verdict {
 		case Drop:
 			e.noteDrop(opts.Proto, opts.Bytes)
-			dropErr := fmt.Errorf("%w (%s -> %s, proto %s)", ErrCensored, opts.From, opts.To, opts.Proto)
-			n.eng.Schedule(3*time.Second, func() { fut.Complete(Result{}, dropErr) })
-			return fut
+			t.refuse(3*time.Second, fmt.Errorf("%w (%s -> %s, proto %s)", ErrCensored, opts.From, opts.To, opts.Proto))
+			return
 		case Throttle:
 			e.noteThrottle(opts.Proto, opts.Bytes)
 			if ruling.Rate > 0 && ruling.Rate < opts.MaxRate {
@@ -133,46 +211,39 @@ func (n *Network) StartTransfer(opts TransferOpts) *sim.Future[Result] {
 	if wire < 1 {
 		wire = 1
 	}
-	t := &Transfer{
-		id:        n.nextID,
-		net:       n,
-		from:      opts.From,
-		to:        opts.To,
-		proto:     opts.Proto,
-		bytes:     opts.Bytes,
-		maxRate:   opts.MaxRate,
-		hops:      r.hops,
-		finite:    r.finite,
-		points:    r.points,
-		latency:   r.latency,
-		remaining: wire,
-		fut:       fut,
-		started:   n.eng.Now(),
-	}
-	t.step = t.advance
+	t.id = n.nextID
 	n.nextID++
+	t.from, t.to, t.proto = opts.From, opts.To, opts.Proto
+	t.bytes, t.maxRate = opts.Bytes, opts.MaxRate
+	t.hops, t.finite, t.points, t.latency = r.hops, r.finite, r.points, r.latency
+	t.remaining = wire
+	t.started = n.eng.Now()
+	t.phase = handshaking
 	setup := r.latency
 	if !opts.NoHandshake {
 		setup *= 2 // connection setup costs a full round trip first
 	}
 	n.eng.Schedule(setup, t.step)
-	return fut
 }
 
-func (n *Network) activate(t *Transfer) {
+// refuse reports err after delay, as the flow's only step.
+func (t *transfer) refuse(delay time.Duration, err error) {
+	t.phase, t.err = refused, err
+	t.net.eng.Schedule(delay, t.step)
+}
+
+func (n *Network) activate(t *transfer) {
 	// The fabric may have changed during the handshake window: a link
 	// gone down or a region severed kills the flow before any byte
 	// moves.
 	for _, h := range t.hops {
 		if h.link.down {
-			t.phase = done
-			t.fut.Complete(Result{Started: t.started, Ended: n.eng.Now()}, ErrLinkDown)
+			t.complete(Result{Started: t.started, Ended: n.eng.Now()}, ErrLinkDown)
 			return
 		}
 	}
 	if n.partitionBlocked(t) {
-		t.phase = done
-		t.fut.Complete(Result{Started: t.started, Ended: n.eng.Now()}, ErrPartitioned)
+		t.complete(Result{Started: t.started, Ended: n.eng.Now()}, ErrPartitioned)
 		return
 	}
 	t.phase = flowing
@@ -195,7 +266,7 @@ func (n *Network) activate(t *Transfer) {
 // settle advances the flow to now at its current rate, moving the
 // progressed bytes out of remaining and crediting them to every tap
 // and link counter on the path.
-func (t *Transfer) settle(now sim.Time) {
+func (t *transfer) settle(now sim.Time) {
 	elapsed := (now - t.lastUpdate).Seconds()
 	if elapsed > 0 && t.rate > 0 {
 		moved := t.rate * elapsed
@@ -213,7 +284,7 @@ func (t *Transfer) settle(now sim.Time) {
 
 // credit books moved wire bytes onto every hop of the path: the
 // link's directional counter and the taps on both of its NICs.
-func (t *Transfer) credit(moved float64) {
+func (t *transfer) credit(moved float64) {
 	if moved <= 0 {
 		return
 	}
@@ -331,7 +402,7 @@ func (n *Network) recompute() {
 
 // saturated reports whether the flow has reached its rate cap or
 // crosses a link with no residual capacity left.
-func (t *Transfer) saturated(residual []float64) bool {
+func (t *transfer) saturated(residual []float64) bool {
 	if t.rate >= t.maxRate-1e-9 {
 		return true
 	}
@@ -343,7 +414,7 @@ func (t *Transfer) saturated(residual []float64) bool {
 	return false
 }
 
-func (n *Network) finish(t *Transfer) {
+func (n *Network) finish(t *transfer) {
 	t.settle(n.eng.Now())
 	// Book any float dust so taps, ledger, and the wire volume agree
 	// to the byte.
@@ -360,21 +431,21 @@ func (n *Network) finish(t *Transfer) {
 }
 
 // fail ends an active flow with err.
-func (t *Transfer) fail(err error) {
+func (t *transfer) fail(err error) {
 	if t.phase != flowing {
 		return
 	}
-	t.settle(t.net.eng.Now())
+	n := t.net
+	t.settle(n.eng.Now())
 	t.detach()
-	t.phase = done
-	t.fut.Complete(Result{Started: t.started, Ended: t.net.eng.Now()}, err)
-	t.net.recompute()
+	t.complete(Result{Started: t.started, Ended: n.eng.Now()}, err)
+	n.recompute()
 }
 
 // detach removes the transfer from links and the active list, booking
 // its settled bytes into each crossed link's ledger (the double-entry
 // side of the tap accounting).
-func (t *Transfer) detach() {
+func (t *transfer) detach() {
 	t.timer.Cancel()
 	for _, h := range t.hops {
 		h.link.ledger[h.dir] += t.delivered
